@@ -38,7 +38,10 @@ type baseline struct {
 	Seed      map[string]float64 `json:"seed_ns_per_op,omitempty"`
 	// PreShard preserves the single-mutex pool's numbers (the baseline
 	// the sharding work is measured against); -update never touches it.
-	PreShard   map[string]float64 `json:"pre_shard_ns_per_op,omitempty"`
+	PreShard map[string]float64 `json:"pre_shard_ns_per_op,omitempty"`
+	// PreHash preserves RemoteClone's numbers from before the word-at-a-
+	// time image hash and slab-backed snapshots; -update never touches it.
+	PreHash    map[string]float64 `json:"pre_hash_ns_per_op,omitempty"`
 	Benchmarks map[string]record  `json:"benchmarks"`
 }
 

@@ -224,7 +224,9 @@ func (c *Cluster) remoteClone(ctx obs.OpCtx, src, dst *Host, img *toolstack.Imag
 
 // chunksOf maps an image's runs onto transfer chunks: data runs ship
 // their stored pages under their content hash (the dedup identity and the
-// bonded-slave selector), zero and alias runs travel as a header only.
+// bonded-slave selector), zero and alias runs travel as a header only —
+// with no pages there is nothing to dedup or place on a slave, so their
+// chunk carries no hash.
 func chunksOf(img *toolstack.Image) []netsim.Chunk {
 	infos := img.RunInfos()
 	chunks := make([]netsim.Chunk, 0, len(infos))
@@ -233,24 +235,7 @@ func chunksOf(img *toolstack.Image) []netsim.Chunk {
 			chunks = append(chunks, netsim.Chunk{Hash: ri.Hash, Pages: ri.StoredPages})
 			continue
 		}
-		chunks = append(chunks, netsim.Chunk{Hash: headerHash(ri), Pages: 0})
+		chunks = append(chunks, netsim.Chunk{})
 	}
 	return chunks
-}
-
-// headerHash derives a deterministic chunk identity for a pageless run
-// from its geometry (FNV-1a over start, count, kind).
-func headerHash(ri toolstack.RunInfo) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, v := range [3]uint64{uint64(ri.Start), uint64(ri.Count), uint64(ri.Kind)} {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime64
-		}
-	}
-	return h
 }

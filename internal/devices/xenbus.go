@@ -103,10 +103,8 @@ func WriteDevicePair(store *xenstore.Store, domid uint32, kind string, index int
 		writes[fp+"/"+k] = v
 		writes[bp+"/"+k] = v
 	}
-	for k, v := range writes {
-		if err := store.Write(k, v, meter); err != nil {
-			return err
-		}
+	if err := store.WriteAll(writes, meter); err != nil {
+		return err
 	}
 	// Negotiation: both ends step Initialising -> InitWait ->
 	// Initialised -> Connected; each transition is a store write the

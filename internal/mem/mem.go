@@ -1421,6 +1421,12 @@ func (lay *layout) copyFrameLocked(dst, src MFN) error {
 // ascending order, so the capture is one coherent pass even while other
 // shards keep allocating — and a concurrent ReleaseN on the same shards
 // orders strictly before or after the whole snapshot.
+//
+// The present frames are copied into one slab per capture, counted in a
+// first pass under the same locks, rather than one allocation per page.
+// Each returned page is capped at PageSize, so an append to one page
+// reallocates instead of writing into its neighbour, and no frame ever
+// adopts a snapshot page: Write copies into frame-owned storage.
 func (m *Memory) SnapshotFrames(mfns []MFN) ([][]byte, error) {
 	for {
 		lay := m.lay.Load()
@@ -1431,14 +1437,25 @@ func (m *Memory) SnapshotFrames(mfns []MFN) ([][]byte, error) {
 		out := make([][]byte, len(mfns))
 		err := func() error {
 			defer m.unlockMask(lay, mask)
-			for i, mfn := range mfns {
+			present := 0
+			for _, mfn := range mfns {
 				f, err := lay.frameAt(mfn)
 				if err != nil {
 					return err
 				}
 				if f.data != nil {
-					out[i] = append([]byte(nil), f.data...)
+					present++
 				}
+			}
+			slab := make([]byte, present*PageSize)
+			for i, mfn := range mfns {
+				f, _ := lay.frameAt(mfn) // every mfn resolved in the counting pass
+				if f.data == nil {
+					continue
+				}
+				out[i] = slab[:PageSize:PageSize]
+				copy(out[i], f.data)
+				slab = slab[PageSize:]
 			}
 			return nil
 		}()

@@ -1,6 +1,9 @@
 package netsim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestFabricMesh(t *testing.T) {
 	f := NewFabric(4, 2)
@@ -88,5 +91,42 @@ func TestLinkPlanWidthOne(t *testing.T) {
 	plan := l.Plan([]Chunk{{Hash: 7, Pages: 5}, {Hash: 8, Pages: 3}}, nil)
 	if plan.MaxSlavePages != 8 {
 		t.Fatalf("single-slave MaxSlavePages = %d, want 8", plan.MaxSlavePages)
+	}
+}
+
+// A pageless chunk (a zero or alias run) travels as a header only: its
+// hash picks no slave and is never offered to dedup, so whatever hash the
+// sender attaches to it, the plan is the one it gets with hash 0.
+func TestLinkPlanIgnoresPagelessHash(t *testing.T) {
+	f := NewFabric(2, 3)
+	l, err := f.Link(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withHeaders := func(h uint64) []Chunk {
+		return []Chunk{
+			{Hash: h, Pages: 0},
+			{Hash: 10, Pages: 7},
+			{Hash: h ^ 1, Pages: 0},
+			{Hash: 11, Pages: 3},
+			{Hash: 12, Pages: 5}, // deduped below
+			{Hash: h + 2, Pages: 0},
+		}
+	}
+	dedup := func(c Chunk) bool {
+		if c.Pages == 0 {
+			t.Errorf("dedup consulted for pageless chunk %+v", c)
+		}
+		return c.Hash == 12
+	}
+	want := l.Plan(withHeaders(0), dedup)
+	if want.Chunks != 6 || want.Pages != 10 || want.DedupPages != 5 {
+		t.Fatalf("plan = %+v", want)
+	}
+	for _, h := range []uint64{1, 2, 12, 0xdeadbeef, 1<<63 + 5, ^uint64(0)} {
+		got := l.Plan(withHeaders(h), dedup)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pageless hash %#x: plan %+v, want %+v", h, got, want)
+		}
 	}
 }

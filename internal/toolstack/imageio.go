@@ -2,6 +2,7 @@ package toolstack
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -15,7 +16,7 @@ import (
 // cache can spill images and reload them without materializing anything
 // but the data runs' pages:
 //
-//	magic "NEPHIMG1"
+//	magic "NEPHIMG2" (the last byte is the format version)
 //	u32 config-JSON length, config JSON
 //	u64 npages, u32 nruns
 //	per run: u8 kind (0 zero | 1 alias | 2 data), u64 start, u32 count
@@ -23,11 +24,17 @@ import (
 //	  data:  u64 content hash, then count page records:
 //	         u8 present; if present, u32 length + bytes
 //
-// All integers are little-endian. The per-run content hash makes a
-// reloaded image verifiable: ReadImage recomputes each data run's hash and
-// refuses a corrupted stream.
+// All integers are little-endian. The per-run content hash (XXH64, see
+// imagehash.go) makes a reloaded image verifiable: ReadImage recomputes
+// each data run's hash and refuses a corrupted stream. Version 1 streams
+// carried FNV-1a run hashes; they are refused by version, not reported as
+// a hash mismatch.
+//
+// Every length in the stream is untrusted: ReadImage allocates only as it
+// reads, so a short stream can never make it reserve memory for the
+// pages, runs or config bytes it merely claims.
 
-var imageMagic = [8]byte{'N', 'E', 'P', 'H', 'I', 'M', 'G', '1'}
+var imageMagic = [8]byte{'N', 'E', 'P', 'H', 'I', 'M', 'G', '2'}
 
 // ErrBadImage marks a malformed or corrupted serialized image.
 var ErrBadImage = errors.New("toolstack: bad image stream")
@@ -93,14 +100,17 @@ func ReadImage(r io.Reader) (*Image, error) {
 	var magic [8]byte
 	cr.bytes(magic[:])
 	if cr.err == nil && magic != imageMagic {
+		if bytes.Equal(magic[:7], imageMagic[:7]) {
+			return nil, fmt.Errorf("%w: format version %q, want %q",
+				ErrBadImage, magic[7], imageMagic[7])
+		}
 		return nil, fmt.Errorf("%w: bad magic %q", ErrBadImage, magic[:])
 	}
 	cfgLen := cr.u32()
 	if cr.err == nil && cfgLen > 1<<20 {
 		return nil, fmt.Errorf("%w: config length %d", ErrBadImage, cfgLen)
 	}
-	cfgJSON := make([]byte, cfgLen)
-	cr.bytes(cfgJSON)
+	cfgJSON := cr.prefix(int(cfgLen))
 	img := &Image{}
 	if cr.err == nil {
 		if err := json.Unmarshal(cfgJSON, &img.Config); err != nil {
@@ -121,8 +131,8 @@ func ReadImage(r io.Reader) (*Image, error) {
 		if cr.err != nil {
 			break
 		}
-		if count <= 0 || start < next || int(start)+count > img.npages {
-			return nil, fmt.Errorf("%w: run %d..%d out of order or range", ErrBadImage, start, int(start)+count)
+		if count <= 0 || start < next || uint64(start) > npages || uint64(count) > npages-uint64(start) {
+			return nil, fmt.Errorf("%w: run %d+%d out of order or range", ErrBadImage, start, count)
 		}
 		next = start + mem.PFN(count)
 		run := imageRun{start: start, count: count}
@@ -136,18 +146,18 @@ func ReadImage(r io.Reader) (*Image, error) {
 			}
 		case runKindData:
 			want := cr.u64()
-			run.pages = make([][]byte, count)
+			// Slots grow with the records actually read (each costs at
+			// least its presence byte), never from the claimed count.
 			for j := 0; j < count && cr.err == nil; j++ {
 				if cr.u8() == 0 {
+					run.pages = append(run.pages, nil)
 					continue
 				}
 				n := cr.u32()
 				if cr.err == nil && n > mem.PageSize {
 					return nil, fmt.Errorf("%w: page of %d bytes", ErrBadImage, n)
 				}
-				data := make([]byte, n)
-				cr.bytes(data)
-				run.pages[j] = data
+				run.pages = append(run.pages, cr.prefix(int(n)))
 			}
 			if cr.err == nil && hashRun(run.pages) != want {
 				return nil, fmt.Errorf("%w: data run at %d fails its content hash", ErrBadImage, start)
@@ -195,6 +205,22 @@ func (cr *reader) bytes(b []byte) {
 		return
 	}
 	_, cr.err = io.ReadFull(cr.r, b)
+}
+
+// prefix reads the next n bytes into a fresh slice that grows a page at a
+// time with the bytes actually delivered, so a truncated stream claiming a
+// large n allocates at most one page more than it carried.
+func (cr *reader) prefix(n int) []byte {
+	if cr.err != nil {
+		return nil
+	}
+	out := make([]byte, 0, min(n, mem.PageSize))
+	for cr.err == nil && len(out) < n {
+		k := min(n-len(out), mem.PageSize)
+		out = append(out, make([]byte, k)...)
+		cr.bytes(out[len(out)-k:])
+	}
+	return out
 }
 
 func (cr *reader) u8() uint8 {

@@ -12,7 +12,7 @@ import (
 )
 
 // ImageStore is a content-addressed snapshot cache. Every data run of an
-// inserted image becomes a chunk keyed by its FNV content hash and backed
+// inserted image becomes a chunk keyed by its XXH64 content hash and backed
 // by resident machine frames owned by the cache pseudo-domain and
 // transferred to dom_cow — so a cached restore materializes a child by
 // COW-sharing those frames (Space.AdoptShared, one sharer bump per frame)

@@ -1,6 +1,7 @@
 package toolstack
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -21,10 +22,10 @@ import (
 // than boot in Fig. 4.
 type Image struct {
 	Config DomainConfig
-	npages int // full allocated page count (the on-wire size)
+	npages int        // full allocated page count (the on-wire size)
 	runs   []imageRun // sorted by start, non-overlapping
 
-	// hashOnce lazily computes the content-addressed identity: one FNV-1a
+	// hashOnce lazily computes the content-addressed identity: one XXH64
 	// hash per data run plus the image-wide cache key. Hashing never
 	// mutates runs, so a hashed image stays safe for concurrent readers.
 	hashOnce  sync.Once
@@ -215,7 +216,14 @@ func (x *XL) Restore(img *Image, name string, meter *vclock.Meter) (*Record, err
 	return rec, nil
 }
 
+// allZero reports whether b holds only zero bytes, testing a
+// little-endian word at a time.
 func allZero(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+	}
 	for _, c := range b {
 		if c != 0 {
 			return false

@@ -290,17 +290,11 @@ func (x *XL) introduce(id hv.DomID, name string, meter *vclock.Meter) error {
 		meter.Charge(meter.Costs().Introduce, 1)
 	}
 	base := fmt.Sprintf("/local/domain/%d", id)
-	writes := map[string]string{
+	return x.Store.WriteAll(map[string]string{
 		base + "/name":   name,
 		base + "/domid":  strconv.FormatUint(uint64(id), 10),
 		base + "/memory": "static-max",
-	}
-	for k, v := range writes {
-		if err := x.Store.Write(k, v, meter); err != nil {
-			return err
-		}
-	}
-	return nil
+	}, meter)
 }
 
 // createDevices registers every configured device and finishes its setup.

@@ -265,6 +265,25 @@ func (s *Store) Write(path, value string, meter *vclock.Meter) error {
 	return s.writeLocked(path, value)
 }
 
+// WriteAll stores every path → value pair of writes, one Write request
+// each, in ascending path order. Each request is charged per store node,
+// so the order in which a batch creates intermediate nodes is part of its
+// cost; sorting makes that cost the same on every run instead of following
+// Go's randomized map order. It stops at the first failed write.
+func (s *Store) WriteAll(writes map[string]string, meter *vclock.Meter) error {
+	paths := make([]string, 0, len(writes))
+	for p := range writes {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		if err := s.Write(p, writes[p], meter); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Read returns the value at path, one request.
 func (s *Store) Read(path string, meter *vclock.Meter) (string, error) {
 	s.mu.Lock()
