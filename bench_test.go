@@ -21,6 +21,7 @@ import (
 	"nephele/internal/kvm"
 	"nephele/internal/mem"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 	"nephele/internal/vclock"
 )
@@ -548,7 +549,7 @@ func BenchmarkCachedRestore(b *testing.B) {
 		var lat vclock.Duration
 		for i := 0; i < b.N; i++ {
 			meter := p.NewMeter()
-			rec, served, err := p.RestoreCached(store, img, fmt.Sprintf("warm-%d", i), meter)
+			rec, served, err := p.XL.RestoreCachedOp(obs.Ctx(meter), store, img, fmt.Sprintf("warm-%d", i))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -37,7 +37,7 @@ func main() {
 	fmt.Printf("machine A: %s | machine B: %s\n", machineA, machineB)
 
 	meter := machineA.NewMeter()
-	newRec, res, err := machineA.Migrate(rec.ID, machineB, "", meter)
+	newRec, res, err := machineA.MigrateOp(obs.Ctx(meter), rec.ID, machineB, "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func main() {
 
 	// ...but family members are pinned to their machine (§8: moving
 	// clones apart would break the page-sharing density win).
-	if _, _, err := machineB.Migrate(cres.Children[0], machineA, "", nil); err != nil {
+	if _, _, err := machineB.MigrateOp(obs.OpCtx{}, cres.Children[0], machineA, ""); err != nil {
 		fmt.Printf("migrating the clone is refused, as designed: %v\n", err)
 	}
 }

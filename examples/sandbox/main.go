@@ -15,6 +15,7 @@ import (
 	"nephele/internal/core"
 	"nephele/internal/mem"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 	"nephele/internal/vclock"
 )
@@ -71,7 +72,7 @@ func main() {
 	sector := bytes.Repeat([]byte{0xc3}, 512)
 	for task := 0; task < fleetSize; task++ {
 		meter := platform.NewMeter()
-		sbx, served, err := platform.RestoreCached(store, image, fmt.Sprintf("sandbox-%d", task), meter)
+		sbx, served, err := platform.XL.RestoreCachedOp(obs.Ctx(meter), store, image, fmt.Sprintf("sandbox-%d", task))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,8 +13,12 @@
 // remain available: ctx.WithMeter/WithTrace/WithFaults/EnsureMeter derive
 // from the in-scope context, and ctx.Detach() is the sanctioned way to
 // hand a sub-context to a goroutine with a deterministic merge point.
-// Legacy meter-based wrappers take a *vclock.Meter, not an OpCtx, so the
-// rule does not fire on their obs.Ctx(meter) adaptation calls.
+// A function that takes a *vclock.Meter rather than an OpCtx is not inside
+// an operation, so the rule does not fire on its obs.Ctx(meter) call.
+//
+// A second rule keeps the operation surface OpCtx-first: in SurfacePkgs
+// (core, hv, cloned), an exported function or method taking a
+// *vclock.Meter without an obs.OpCtx is reported.
 //
 // Waive with //nephele:opctx-ok and a justification (e.g. an intentional
 // throwaway meter in a diagnostic path).
@@ -43,12 +47,15 @@ var ObsPkgs = []string{"nephele/internal/obs"}
 // NewMeter.
 var MeterPkgs = []string{"nephele/internal/vclock"}
 
-// CorePkgs are the import paths of the platform-surface packages whose
-// exported entry points must be OpCtx-first: a new exported function or
+// SurfacePkgs are the import paths of the operation-surface packages whose
+// exported entry points must be OpCtx-first: an exported function or
 // method there taking a *vclock.Meter without an obs.OpCtx re-introduces
-// the legacy meter-threading shape the PR 5 redesign retired. The kept
-// deprecated wrappers carry explicit //nephele:opctx-ok waivers.
-var CorePkgs = []string{"nephele/internal/core"}
+// the meter-threading shape the OpCtx redesign retired.
+var SurfacePkgs = []string{
+	"nephele/internal/core",
+	"nephele/internal/hv",
+	"nephele/internal/cloned",
+}
 
 func in(paths []string, path string) bool {
 	for _, p := range paths {
@@ -64,14 +71,14 @@ func run(pass *analysis.Pass) error {
 	if in(ObsPkgs, pass.Pkg.Path()) {
 		return nil
 	}
-	core := in(CorePkgs, pass.Pkg.Path())
+	surface := in(SurfacePkgs, pass.Pkg.Path())
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
-				if core && d.Name.IsExported() &&
+				if surface && d.Name.IsExported() &&
 					!hasOpCtxParam(pass, d.Type.Params) && hasMeterParam(pass, d.Type.Params) {
-					pass.Reportf(d.Pos(), "meter-first signature in core: exported %s takes *vclock.Meter without an obs.OpCtx; new entry points are OpCtx-first (deprecated wrappers carry a //nephele:opctx-ok waiver)", d.Name.Name)
+					pass.Reportf(d.Pos(), "meter-first signature in %s: exported %s takes *vclock.Meter without an obs.OpCtx; entry points are OpCtx-first", pass.Pkg.Name(), d.Name.Name)
 				}
 				if d.Body == nil {
 					continue

@@ -17,14 +17,20 @@ func TestOpCtx(t *testing.T) {
 	analysistest.Run(t, filepath.Join("testdata", "src", "a"), opctx.Analyzer)
 }
 
-// TestOpCtxCoreSignatures exercises the meter-first-signature rule over
-// the core fixture: exported meter-taking entry points fire unless waived.
+// TestOpCtxCoreSignatures exercises the meter-first-signature rule
+// over the core and hv fixtures: exported meter-taking entry points fire
+// unless waived, in every surface package.
 func TestOpCtxCoreSignatures(t *testing.T) {
-	oldObs, oldMeter, oldCore := opctx.ObsPkgs, opctx.MeterPkgs, opctx.CorePkgs
+	oldObs, oldMeter, oldSurface := opctx.ObsPkgs, opctx.MeterPkgs, opctx.SurfacePkgs
 	opctx.ObsPkgs = []string{"nephele/internal/analysis/opctx/testdata/src/obs"}
 	opctx.MeterPkgs = []string{"nephele/internal/analysis/opctx/testdata/src/vclock"}
-	opctx.CorePkgs = []string{"nephele/internal/analysis/opctx/testdata/src/core"}
-	t.Cleanup(func() { opctx.ObsPkgs, opctx.MeterPkgs, opctx.CorePkgs = oldObs, oldMeter, oldCore })
+	opctx.SurfacePkgs = []string{
+		"nephele/internal/analysis/opctx/testdata/src/core",
+		"nephele/internal/analysis/opctx/testdata/src/hv",
+	}
+	t.Cleanup(func() { opctx.ObsPkgs, opctx.MeterPkgs, opctx.SurfacePkgs = oldObs, oldMeter, oldSurface })
 
-	analysistest.Run(t, filepath.Join("testdata", "src", "core"), opctx.Analyzer)
+	for _, pkg := range []string{"core", "hv"} {
+		analysistest.Run(t, filepath.Join("testdata", "src", pkg), opctx.Analyzer)
+	}
 }

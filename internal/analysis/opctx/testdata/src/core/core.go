@@ -1,6 +1,6 @@
 // Package core is the opctx fixture's stand-in for the platform surface:
 // exported entry points here must be OpCtx-first, and meter-first
-// signatures fire unless they carry a deprecation waiver.
+// signatures fire unless they carry a waiver.
 package core
 
 import (
@@ -20,11 +20,11 @@ func (p *Platform) Clone(n int, meter *vclock.Meter) error { // want `meter-firs
 	return p.CloneOp(ctx, n)
 }
 
-// Migrate is a kept deprecated wrapper: the waiver on the line above the
-// declaration silences the finding.
+// Boot is a meter-threading path with no OpCtx form: the waiver on the
+// line above the declaration silences the finding.
 //
-//nephele:opctx-ok fixture: deprecated meter wrapper
-func (p *Platform) Migrate(n int, meter *vclock.Meter) error {
+//nephele:opctx-ok fixture: meter-threading boot path
+func (p *Platform) Boot(n int, meter *vclock.Meter) error {
 	return p.CloneOp(obs.Ctx(meter), n)
 }
 

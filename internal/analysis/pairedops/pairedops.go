@@ -17,11 +17,11 @@
 //
 //   - a release call (Free, Release(N), DropShared, or the package-private
 //     release/releaseOne/releasePTEs unwinds on Memory/Space, or
-//     DestroyDomain on anything) occurs on the path first;
+//     DestroyDomain/DomainDestroy on anything) occurs on the path first;
 //   - the function defers a release (the cloneOne unwind pattern), which
 //     covers every return;
 //   - the return goes through a local closure that performs the release
-//     (the Space.Clone fail() pattern);
+//     (the Space.CloneOp fail() pattern);
 //   - the immediately-following `if err != nil` check of an acquire is the
 //     acquire's own failure path (nothing was acquired).
 //
@@ -62,7 +62,7 @@ var releaseNames = map[string]bool{
 // releaseAnyRecv are release-ish calls honored on any receiver: destroying
 // the half-built domain releases everything it accumulated.
 var releaseAnyRecv = map[string]bool{
-	"DestroyDomain": true,
+	"DestroyDomain": true, "DomainDestroy": true,
 }
 
 // consumeNames transfer ownership of the outstanding reference into a

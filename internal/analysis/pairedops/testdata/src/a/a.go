@@ -75,6 +75,25 @@ func CloneRollback(m *Memory, dom int) error {
 	return nil
 }
 
+// Hypervisor carries the any-receiver domain teardown.
+type Hypervisor struct{}
+
+func (h *Hypervisor) DomainDestroy(ctx, dom int) error { return nil }
+
+// CloneDestroyed tears the half-built domain down before the error
+// return: DomainDestroy discharges on any receiver.
+func CloneDestroyed(m *Memory, h *Hypervisor, dom int) error {
+	mfns, err := m.AllocN(dom, 4)
+	if err != nil {
+		return err
+	}
+	if err := m.ShareN(mfns, 2); err != nil {
+		h.DomainDestroy(0, dom)
+		return err
+	}
+	return nil
+}
+
 // CloneDeferred uses the cloneOne-style deferred unwind, which covers
 // every return path.
 func CloneDeferred(m *Memory, dom int) (err error) {

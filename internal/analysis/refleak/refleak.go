@@ -68,7 +68,7 @@ var releaseNames = map[string]bool{
 
 // releaseAnyRecv are discharges honored on any receiver.
 var releaseAnyRecv = map[string]bool{
-	"DestroyDomain": true,
+	"DestroyDomain": true, "DomainDestroy": true,
 }
 
 // consumeNames transfer the outstanding reference into a durable mapping.

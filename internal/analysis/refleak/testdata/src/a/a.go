@@ -22,6 +22,8 @@ type Conn struct{}
 
 func (c *Conn) DestroyDomain(id int) error { return nil }
 
+func (c *Conn) DomainDestroy(ctx, id int) error { return nil }
+
 func work() error { return nil }
 
 // leakOnErrPath is the target bug class: the second error return fires
@@ -170,6 +172,20 @@ func destroyed(m *Memory, c *Conn) error {
 	}
 	if err := work(); err != nil {
 		c.DestroyDomain(7)
+		return err
+	}
+	m.ReleaseN(1)
+	return nil
+}
+
+// domainDestroyed is destroyed through the OpCtx-first name, which
+// discharges on any receiver too.
+func domainDestroyed(m *Memory, c *Conn) error {
+	if err := m.ShareN(1); err != nil {
+		return err
+	}
+	if err := work(); err != nil {
+		c.DomainDestroy(0, 7)
 		return err
 	}
 	m.ReleaseN(1)

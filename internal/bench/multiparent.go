@@ -33,11 +33,11 @@ func DefaultMultiParent() MultiParentConfig {
 // MultiParent measures end-to-end multi-parent round throughput: for each
 // parent count P it boots P independent guests on one machine, then runs
 // scheduling rounds in which every parent forks ClonesEach children in a
-// single core.CloneMany call (batched first stage, one ServeAll), and the
-// children are destroyed between rounds. The figure reports wall-clock
-// clones/sec per parent count, plus the virtual first-stage latency per
-// parent — flat across P, since batching charges each parent's meter
-// exactly as a solo clone would.
+// single multi-spec core.Platform.CloneOp call (batched first stage, one
+// cloned.Serve), and the children are destroyed between rounds. The
+// figure reports wall-clock clones/sec per parent count, plus the virtual
+// first-stage latency per parent — flat across P, since batching charges
+// each parent's meter exactly as a solo clone would.
 func MultiParent(cfg MultiParentConfig) (*Figure, error) {
 	if len(cfg.Parents) == 0 {
 		cfg = DefaultMultiParent()

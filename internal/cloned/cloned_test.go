@@ -7,6 +7,7 @@ import (
 	"nephele/internal/devices"
 	"nephele/internal/hv"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 	"nephele/internal/vclock"
 	"nephele/internal/xenstore"
@@ -70,16 +71,17 @@ func (r *rig) bootParent(t *testing.T) *toolstack.Record {
 // cloneOne triggers first-stage cloning and serves the second stage.
 func (r *rig) cloneOne(t *testing.T, parent hv.DomID, meter *vclock.Meter) hv.DomID {
 	t.Helper()
-	kids, _, done, err := r.hv.CloneOpClone(parent, parent, 1, true, meter)
+	res := r.hv.Clone(hv.CloneRequest{Caller: parent, Target: parent, N: 1, CopyRing: true, Ctx: obs.Ctx(meter)})
+	kids, done, err := res.Children, res.Done, res.Err
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := r.d.ServeAll(meter)
+	n, err := r.d.Serve(obs.Ctx(meter))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
-		t.Fatalf("ServeAll served %d, want 1", n)
+		t.Fatalf("Serve served %d, want 1", n)
 	}
 	<-done
 	return kids[0]
@@ -251,7 +253,7 @@ func TestLeaveChildrenPausedOption(t *testing.T) {
 
 func TestServeAllEmptyRing(t *testing.T) {
 	r := newRig(t, Options{})
-	n, err := r.d.ServeAll(nil)
+	n, err := r.d.Serve(obs.OpCtx{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +265,12 @@ func TestServeAllEmptyRing(t *testing.T) {
 func TestServeBatchOfClones(t *testing.T) {
 	r := newRig(t, Options{})
 	rec := r.bootParent(t)
-	kids, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, 3, true, nil)
+	res := r.hv.Clone(hv.CloneRequest{Caller: rec.ID, Target: rec.ID, N: 3, CopyRing: true})
+	kids, done, err := res.Children, res.Done, res.Err
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := r.d.ServeAll(vclock.NewMeter(nil))
+	n, err := r.d.Serve(obs.OpCtx{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func (r *faultRig) cloneLazy(t *testing.T) (hv.DomID, <-chan struct{}, error) {
 	if res.Err != nil {
 		t.Fatalf("lazy first stage: %v", res.Err)
 	}
-	_, serveErr := r.d.ServeAll(vclock.NewMeter(nil))
+	_, serveErr := r.d.Serve(obs.OpCtx{})
 	return res.Children[0], res.Done, serveErr
 }
 
@@ -44,11 +44,12 @@ func eagerBaseline(t *testing.T) *worldState {
 	t.Helper()
 	r := newFaultRig(t, Options{})
 	rec := r.bootParent(t)
-	kids, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, 1, true, nil)
+	res := r.hv.Clone(hv.CloneRequest{Caller: rec.ID, Target: rec.ID, N: 1, CopyRing: true})
+	kids, done, err := res.Children, res.Done, res.Err
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.d.ServeAll(vclock.NewMeter(nil)); err != nil {
+	if _, err := r.d.Serve(obs.OpCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, done)
@@ -77,7 +78,7 @@ func TestLazyClonePipeline(t *testing.T) {
 	if res.Stats.Memory.Deferred == 0 {
 		t.Fatal("lazy clone deferred nothing")
 	}
-	if _, err := r.d.ServeAll(vclock.NewMeter(nil)); err != nil {
+	if _, err := r.d.Serve(obs.OpCtx{}); err != nil {
 		t.Fatalf("second stage: %v", err)
 	}
 	waitDone(t, res.Done)

@@ -226,16 +226,17 @@ func TestFaultMatrixFatal(t *testing.T) {
 			pre := r.snapshot(t)
 
 			r.faults.Inject(point, fault.FailOnce(), fault.Fatal)
-			kids, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, 1, true, nil)
+			res := r.hv.Clone(hv.CloneRequest{Caller: rec.ID, Target: rec.ID, N: 1, CopyRing: true})
+			kids, done, err := res.Children, res.Done, res.Err
 			if err != nil {
 				t.Fatal(err)
 			}
-			served, serveErr := r.d.ServeAll(vclock.NewMeter(nil))
+			served, serveErr := r.d.Serve(obs.OpCtx{})
 			if served != 0 {
 				t.Fatalf("served = %d, want 0", served)
 			}
 			if serveErr == nil {
-				t.Fatal("ServeAll reported success despite a fatal fault")
+				t.Fatal("Serve reported success despite a fatal fault")
 			}
 			if !fault.IsFatal(serveErr) {
 				t.Fatalf("error not classified as an injected fatal fault: %v", serveErr)
@@ -258,11 +259,12 @@ func TestFaultMatrixFatal(t *testing.T) {
 			// The pipeline is healthy afterwards: the same parent clones
 			// successfully once the fault is cleared.
 			r.faults.Clear(point)
-			kids2, _, done2, err := r.hv.CloneOpClone(rec.ID, rec.ID, 1, true, nil)
+			res2 := r.hv.Clone(hv.CloneRequest{Caller: rec.ID, Target: rec.ID, N: 1, CopyRing: true})
+			kids2, done2, err := res2.Children, res2.Done, res2.Err
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n, err := r.d.ServeAll(vclock.NewMeter(nil)); err != nil || n != 1 {
+			if n, err := r.d.Serve(obs.OpCtx{}); err != nil || n != 1 {
 				t.Fatalf("post-fault clone: served %d, err %v", n, err)
 			}
 			waitDone(t, done2)
@@ -282,12 +284,13 @@ func TestFaultMatrixTransientRecovers(t *testing.T) {
 			rec := r.bootParent(t)
 
 			r.faults.Inject(point, fault.FailOnce(), fault.Transient)
-			kids, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, 1, true, nil)
+			res := r.hv.Clone(hv.CloneRequest{Caller: rec.ID, Target: rec.ID, N: 1, CopyRing: true})
+			kids, done, err := res.Children, res.Done, res.Err
 			if err != nil {
 				t.Fatal(err)
 			}
 			meter := vclock.NewMeter(nil)
-			served, serveErr := r.d.ServeAll(meter)
+			served, serveErr := r.d.Serve(obs.Ctx(meter))
 			if serveErr != nil {
 				t.Fatalf("transient fault not retried away: %v", serveErr)
 			}
@@ -339,11 +342,12 @@ func TestFaultMatrixTransientExhausted(t *testing.T) {
 			pre := r.snapshot(t)
 
 			r.faults.Inject(point, fault.FailAlways(), fault.Transient)
-			kids, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, 1, true, nil)
+			res := r.hv.Clone(hv.CloneRequest{Caller: rec.ID, Target: rec.ID, N: 1, CopyRing: true})
+			kids, done, err := res.Children, res.Done, res.Err
 			if err != nil {
 				t.Fatal(err)
 			}
-			served, serveErr := r.d.ServeAll(vclock.NewMeter(nil))
+			served, serveErr := r.d.Serve(obs.OpCtx{})
 			if served != 0 || serveErr == nil {
 				t.Fatalf("served = %d, err = %v; want 0 and an error", served, serveErr)
 			}
@@ -366,11 +370,12 @@ func TestTransientRetriesChargeBackoff(t *testing.T) {
 	clean := newFaultRig(t, Options{})
 	crec := clean.bootParent(t)
 	cleanMeter := vclock.NewMeter(nil)
-	kids, _, done, err := clean.hv.CloneOpClone(crec.ID, crec.ID, 1, true, cleanMeter)
+	res := clean.hv.Clone(hv.CloneRequest{Caller: crec.ID, Target: crec.ID, N: 1, CopyRing: true, Ctx: obs.Ctx(cleanMeter)})
+	kids, done, err := res.Children, res.Done, res.Err
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clean.d.ServeAll(cleanMeter); err != nil {
+	if _, err := clean.d.Serve(obs.Ctx(cleanMeter)); err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, done)
@@ -382,11 +387,12 @@ func TestTransientRetriesChargeBackoff(t *testing.T) {
 	frec := faulty.bootParent(t)
 	faulty.faults.Inject(fault.PointDevVbdClone, fault.FailOnce(), fault.Transient)
 	fMeter := vclock.NewMeter(nil)
-	fkids, _, fdone, err := faulty.hv.CloneOpClone(frec.ID, frec.ID, 1, true, fMeter)
+	fres := faulty.hv.Clone(hv.CloneRequest{Caller: frec.ID, Target: frec.ID, N: 1, CopyRing: true, Ctx: obs.Ctx(fMeter)})
+	fkids, fdone, err := fres.Children, fres.Done, fres.Err
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := faulty.d.ServeAll(fMeter); err != nil {
+	if _, err := faulty.d.Serve(obs.Ctx(fMeter)); err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, fdone)
@@ -406,7 +412,7 @@ func TestTransientRetriesChargeBackoff(t *testing.T) {
 }
 
 // TestFaultMatrixFirstStage injects faults inside the CLONEOP hypercall:
-// the error surfaces from CloneOpClone itself, the hypervisor unwinds the
+// the error surfaces from hv.Clone itself, the hypervisor unwinds the
 // partial child, and no notification ever reaches the daemon.
 func TestFaultMatrixFirstStage(t *testing.T) {
 	for _, point := range fault.FirstStagePoints() {
@@ -416,9 +422,10 @@ func TestFaultMatrixFirstStage(t *testing.T) {
 			pre := r.snapshot(t)
 
 			r.faults.Inject(point, fault.FailOnce(), fault.Fatal)
-			kids, _, _, err := r.hv.CloneOpClone(rec.ID, rec.ID, 1, true, nil)
+			res := r.hv.Clone(hv.CloneRequest{Caller: rec.ID, Target: rec.ID, N: 1, CopyRing: true})
+			kids, err := res.Children, res.Err
 			if err == nil {
-				t.Fatal("CloneOpClone succeeded despite a first-stage fault")
+				t.Fatal("Clone succeeded despite a first-stage fault")
 			}
 			if p, ok := fault.PointOf(err); !ok || p != point {
 				t.Fatalf("error fired at %q, want %q", p, point)
@@ -436,11 +443,12 @@ func TestFaultMatrixFirstStage(t *testing.T) {
 
 			// The fault was consumed; the next clone goes through both
 			// stages (also proving the clone budget was refunded).
-			kids2, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, 1, true, nil)
+			res2 := r.hv.Clone(hv.CloneRequest{Caller: rec.ID, Target: rec.ID, N: 1, CopyRing: true})
+			kids2, done, err := res2.Children, res2.Done, res2.Err
 			if err != nil {
 				t.Fatalf("post-fault clone failed: %v", err)
 			}
-			if n, err := r.d.ServeAll(vclock.NewMeter(nil)); err != nil || n != 1 {
+			if n, err := r.d.Serve(obs.OpCtx{}); err != nil || n != 1 {
 				t.Fatalf("post-fault second stage: served %d, err %v", n, err)
 			}
 			waitDone(t, done)
@@ -468,16 +476,17 @@ func TestAcceptanceOneOfFourChildrenFails(t *testing.T) {
 			// belongs to the first child, so the failure lands there; which
 			// child dies is irrelevant to the contract.)
 			r.faults.Inject(point, fault.FailNth(2), fault.Fatal)
-			kids, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, 4, true, nil)
+			res := r.hv.Clone(hv.CloneRequest{Caller: rec.ID, Target: rec.ID, N: 4, CopyRing: true})
+			kids, done, err := res.Children, res.Done, res.Err
 			if err != nil {
 				t.Fatal(err)
 			}
-			served, serveErr := r.d.ServeAll(vclock.NewMeter(nil))
+			served, serveErr := r.d.Serve(obs.OpCtx{})
 			if served != 3 {
 				t.Fatalf("served = %d, want 3", served)
 			}
 			if serveErr == nil {
-				t.Fatal("ServeAll reported success with one failed child")
+				t.Fatal("Serve reported success with one failed child")
 			}
 			waitDone(t, done)
 			if pd, _ := r.hv.Domain(rec.ID); pd.Paused() {
@@ -523,7 +532,7 @@ func TestAcceptanceOneOfFourChildrenFails(t *testing.T) {
 	}
 }
 
-// TestServeAllCountsAcrossMixedBatch pins the ServeAll return-value fix:
+// TestServeAllCountsAcrossMixedBatch pins the Serve return-value fix:
 // the served count reflects the successes even when other notifications in
 // the same drain fail, and the error wraps every failed child.
 func TestServeAllCountsAcrossMixedBatch(t *testing.T) {
@@ -533,11 +542,12 @@ func TestServeAllCountsAcrossMixedBatch(t *testing.T) {
 	// Two separate fatal faults kill two of five children.
 	r.faults.Inject(fault.PointDevVifClone, fault.FailNth(2), fault.Fatal)
 	r.faults.Inject(fault.PointDev9pfsClone, fault.FailNth(3), fault.Fatal)
-	kids, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, 5, true, nil)
+	res := r.hv.Clone(hv.CloneRequest{Caller: rec.ID, Target: rec.ID, N: 5, CopyRing: true})
+	kids, done, err := res.Children, res.Done, res.Err
 	if err != nil {
 		t.Fatal(err)
 	}
-	served, serveErr := r.d.ServeAll(vclock.NewMeter(nil))
+	served, serveErr := r.d.Serve(obs.OpCtx{})
 	if served != 3 {
 		t.Fatalf("served = %d, want 3", served)
 	}
@@ -574,16 +584,17 @@ func TestRollbackIsIdempotent(t *testing.T) {
 	pre := r.snapshot(t)
 
 	r.faults.Inject(fault.PointDevVbdClone, fault.FailOnce(), fault.Fatal)
-	kids, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, 1, true, nil)
+	res := r.hv.Clone(hv.CloneRequest{Caller: rec.ID, Target: rec.ID, N: 1, CopyRing: true})
+	kids, done, err := res.Children, res.Done, res.Err
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, serveErr := r.d.ServeAll(vclock.NewMeter(nil)); serveErr == nil {
+	if _, serveErr := r.d.Serve(obs.OpCtx{}); serveErr == nil {
 		t.Fatal("expected a failure")
 	}
 	waitDone(t, done)
 
-	// ServeAll already rolled back; a second explicit pass changes nothing.
+	// Serve already rolled back; a second explicit pass changes nothing.
 	r.d.rollback(hv.CloneNotification{Parent: rec.ID, Child: kids[0]}, obs.Ctx(vclock.NewMeter(nil)))
 	assertSame(t, pre, r.snapshot(t))
 }

@@ -8,13 +8,13 @@ import (
 
 	"nephele/internal/hv"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
-	"nephele/internal/vclock"
 )
 
 // TestStressMultiParentCloneOpServeAll drives concurrent CLONEOPs from
 // several distinct parents while a daemon goroutine drains mixed batches
-// with ServeAll — the configuration where the parallel first stage and the
+// with Serve — the configuration where the parallel first stage and the
 // per-parent-group second-stage pool actually overlap. Run under -race
 // (the CI configuration), it checks that every child of every parent
 // completes, per-parent notification order holds (children of one parent
@@ -54,7 +54,7 @@ func TestStressMultiParentCloneOpServeAll(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				r.d.ServeAll(vclock.NewMeter(nil))
+				r.d.Serve(obs.OpCtx{})
 				time.Sleep(20 * time.Microsecond)
 			}
 		}
@@ -70,7 +70,8 @@ func TestStressMultiParentCloneOpServeAll(t *testing.T) {
 			parent := recs[g].ID
 			for i := 0; i < iters; i++ {
 				n := 1 + (g+i)%batch
-				kids, _, done, err := r.hv.CloneOpClone(parent, parent, n, true, vclock.NewMeter(nil))
+				res := r.hv.Clone(hv.CloneRequest{Caller: parent, Target: parent, N: n, CopyRing: true})
+				kids, done, err := res.Children, res.Done, res.Err
 				if err != nil {
 					t.Errorf("parent %d iter %d: clone failed: %v", parent, i, err)
 					return
@@ -94,7 +95,7 @@ func TestStressMultiParentCloneOpServeAll(t *testing.T) {
 		return
 	}
 
-	if _, err := r.d.ServeAll(vclock.NewMeter(nil)); err != nil {
+	if _, err := r.d.Serve(obs.OpCtx{}); err != nil {
 		t.Fatalf("final drain failed: %v", err)
 	}
 	if pending := r.hv.PendingNotifications(); pending != 0 {

@@ -10,7 +10,7 @@ import (
 
 	"nephele/internal/fault"
 	"nephele/internal/hv"
-	"nephele/internal/vclock"
+	"nephele/internal/obs"
 )
 
 // TestStressCloningUnderRandomFaults runs several cloner goroutines
@@ -38,7 +38,7 @@ func TestStressCloningUnderRandomFaults(t *testing.T) {
 	go func() {
 		defer wgDaemon.Done()
 		for !stopDaemon.Load() {
-			r.d.ServeAll(vclock.NewMeter(nil))
+			r.d.Serve(obs.OpCtx{})
 			time.Sleep(50 * time.Microsecond)
 		}
 	}()
@@ -75,7 +75,8 @@ func TestStressCloningUnderRandomFaults(t *testing.T) {
 			defer wgCloners.Done()
 			for i := 0; i < iters; i++ {
 				n := 1 + (g+i)%2
-				kids, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, n, true, vclock.NewMeter(nil))
+				res := r.hv.Clone(hv.CloneRequest{Caller: rec.ID, Target: rec.ID, N: n, CopyRing: true})
+				kids, done, err := res.Children, res.Done, res.Err
 				mu.Lock()
 				created = append(created, kids...)
 				if err != nil {
@@ -109,7 +110,7 @@ func TestStressCloningUnderRandomFaults(t *testing.T) {
 	// Disarm everything and drain stragglers (children of partially failed
 	// batches whose notifications were still queued).
 	r.faults.Reset()
-	if _, err := r.d.ServeAll(vclock.NewMeter(nil)); err != nil {
+	if _, err := r.d.Serve(obs.OpCtx{}); err != nil {
 		t.Fatalf("final drain failed with injection disarmed: %v", err)
 	}
 	if pending := r.hv.PendingNotifications(); pending != 0 {

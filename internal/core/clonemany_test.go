@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"testing"
 
-	"nephele/internal/hv"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 )
 
@@ -37,16 +37,16 @@ func TestCloneManyMultiParent(t *testing.T) {
 	p := smallPlatform(Options{SkipNameCheck: true})
 	parents := bootParents(t, p, 4)
 
-	reqs := make([]hv.CloneRequest, len(parents))
+	specs := make([]CloneSpec, len(parents))
 	for i, id := range parents {
-		reqs[i] = hv.CloneRequest{Caller: id, Target: id, N: 2, CopyRing: true}
+		specs[i] = CloneSpec{Caller: id, Parent: id, Count: 2}
 	}
-	results, err := p.CloneMany(reqs, nil)
+	results, err := p.CloneOp(obs.OpCtx{}, specs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(reqs) {
-		t.Fatalf("results = %d, want %d", len(results), len(reqs))
+	if len(results) != len(specs) {
+		t.Fatalf("results = %d, want %d", len(results), len(specs))
 	}
 	for i, res := range results {
 		if res.Err != nil {
@@ -85,7 +85,7 @@ func TestCloneManyMultiParent(t *testing.T) {
 }
 
 // TestCloneManyVirtualTimeMatchesClone: a parent's first-stage virtual
-// time inside a multi-parent round equals what Platform.Clone alone
+// time inside a multi-parent round equals what a single-spec CloneOp
 // reports — the golden-series determinism argument at the platform level.
 func TestCloneManyVirtualTimeMatchesClone(t *testing.T) {
 	boot := func() (*Platform, []DomID) {
@@ -94,19 +94,21 @@ func TestCloneManyVirtualTimeMatchesClone(t *testing.T) {
 	}
 
 	solo, soloParents := boot()
-	soloRes, err := solo.Clone(soloParents[0], soloParents[0], 2, nil)
+	soloResAll, err := solo.CloneOp(obs.OpCtx{}, CloneSpec{Caller: soloParents[0], Parent: soloParents[0], Count: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	soloRes := soloResAll[0]
 
 	batch, batchParents := boot()
-	reqs := []hv.CloneRequest{
-		{Caller: batchParents[0], Target: batchParents[0], N: 2, CopyRing: true},
-		{Caller: batchParents[1], Target: batchParents[1], N: 2, CopyRing: true},
-	}
-	results, err := batch.CloneMany(reqs, nil)
+	results, err := batch.CloneOp(obs.OpCtx{},
+		CloneSpec{Caller: batchParents[0], Parent: batchParents[0], Count: 2},
+		CloneSpec{Caller: batchParents[1], Parent: batchParents[1], Count: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(results) != 2 {
+		t.Fatalf("results = %d, want 2", len(results))
 	}
 	for i, res := range results {
 		if res.FirstStage != soloRes.FirstStage {
@@ -125,12 +127,10 @@ func TestCloneManyPartialAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := []hv.CloneRequest{
-		{Caller: parents[0], Target: parents[0], N: 1, CopyRing: true},
-		{Caller: rec.ID, Target: rec.ID, N: 1, CopyRing: true},
-		{Caller: parents[1], Target: parents[1], N: 1, CopyRing: true},
-	}
-	results, err := p.CloneMany(reqs, nil)
+	results, err := p.CloneOp(obs.OpCtx{},
+		CloneSpec{Caller: parents[0], Parent: parents[0], Count: 1},
+		CloneSpec{Caller: rec.ID, Parent: rec.ID, Count: 1},
+		CloneSpec{Caller: parents[1], Parent: parents[1], Count: 1})
 	if err == nil {
 		t.Fatal("round with failed admission reported no error")
 	}

@@ -129,7 +129,7 @@ func (p *Platform) cloneRouter() CloneRouter {
 //
 //   - Several specs run as one multi-parent scheduling round: the first
 //     stage admits every spec in order into one bounded worker pool and a
-//     single ServeAll drains all the children's second stages together
+//     single Serve drains all the children's second stages together
 //     (span clone-round, one clone-request lane per parent). Results are
 //     positionally parallel to the specs; an entry whose spec failed
 //     admission has only Err set.
@@ -145,12 +145,7 @@ func (p *Platform) CloneOp(ctx obs.OpCtx, specs ...CloneSpec) ([]*CloneResult, e
 	if len(specs) == 0 {
 		return nil, errors.New("core: CloneOp with no specs")
 	}
-	ctx = ctx.EnsureMeter(p.Costs)
-	if ctx.Trace() == nil {
-		if t := p.trace.Load(); t != nil {
-			ctx = ctx.WithTrace(t)
-		}
-	}
+	ctx = p.observed(ctx)
 	placed := false
 	for i := range specs {
 		if specs[i].Placement != nil {

@@ -8,6 +8,7 @@ import (
 	"nephele/internal/cloned"
 	"nephele/internal/devices"
 	"nephele/internal/hv"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 )
 
@@ -17,10 +18,11 @@ func TestClonePinsVCPUsRoundRobin(t *testing.T) {
 		Cloned:        cloned.Options{PinCloneVCPUs: true, HostCores: 4},
 	})
 	rec, _ := p.Boot(udpServerConfig("pinned"), nil)
-	res, err := p.Clone(rec.ID, rec.ID, 3, nil)
+	results, err := p.CloneOp(obs.OpCtx{}, CloneSpec{Caller: rec.ID, Parent: rec.ID, Count: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results[0]
 	seen := map[int]bool{}
 	for _, child := range res.Children {
 		dom, _ := p.HV.Domain(child)
@@ -39,7 +41,8 @@ func TestClonePinsVCPUsRoundRobin(t *testing.T) {
 	// Without the option, clones inherit the parent's affinity (-1).
 	q := smallPlatform(Options{SkipNameCheck: true})
 	qrec, _ := q.Boot(udpServerConfig("unpinned"), nil)
-	qres, _ := q.Clone(qrec.ID, qrec.ID, 1, nil)
+	qresAll, _ := q.CloneOp(obs.OpCtx{}, CloneSpec{Caller: qrec.ID, Parent: qrec.ID, Count: 1})
+	qres := qresAll[0]
 	dom, _ := q.HV.Domain(qres.Children[0])
 	v, _ := dom.VCPU(0)
 	if v.Affinity != -1 {
@@ -71,10 +74,11 @@ func TestVbdThroughFullClonePath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := p.Clone(rec.ID, rec.ID, 1, nil)
+	results, err := p.CloneOp(obs.OpCtx{}, CloneSpec{Caller: rec.ID, Parent: rec.ID, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results[0]
 	child := res.Children[0]
 	// The second stage cloned the vbd: Xenstore entries + backend state.
 	st, err := devices.DeviceState(p.Store, uint32(child), "vbd", 0, nil)
@@ -116,10 +120,11 @@ func TestDeepFamilyTree(t *testing.T) {
 	for depth := 0; depth < 3; depth++ {
 		var next []DomID
 		for _, id := range gen {
-			res, err := p.Clone(id, id, 2, nil)
+			results, err := p.CloneOp(obs.OpCtx{}, CloneSpec{Caller: id, Parent: id, Count: 2})
 			if err != nil {
 				t.Fatalf("depth %d clone of %d: %v", depth, id, err)
 			}
+			res := results[0]
 			next = append(next, res.Children...)
 		}
 		gen = next
@@ -176,7 +181,7 @@ func TestConcurrentClonesOfDistinctParents(t *testing.T) {
 		go func(id DomID) {
 			defer wg.Done()
 			for j := 0; j < 5; j++ {
-				if _, err := p.Clone(id, id, 1, nil); err != nil {
+				if _, err := p.CloneOp(obs.OpCtx{}, CloneSpec{Caller: id, Parent: id, Count: 1}); err != nil {
 					errs <- fmt.Errorf("clone of %d: %w", id, err)
 					return
 				}
@@ -196,7 +201,7 @@ func TestConcurrentClonesOfDistinctParents(t *testing.T) {
 func TestOVSSwitchPlatform(t *testing.T) {
 	p := smallPlatform(Options{SkipNameCheck: true, Switch: SwitchOVS})
 	rec, _ := p.Boot(udpServerConfig("ovs-guest"), nil)
-	if _, err := p.Clone(rec.ID, rec.ID, 2, nil); err != nil {
+	if _, err := p.CloneOp(obs.OpCtx{}, CloneSpec{Caller: rec.ID, Parent: rec.ID, Count: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if p.OVS.Buckets() != 3 {
@@ -214,10 +219,11 @@ func TestStoreLogRotationSpikeVisibleInCloneSeries(t *testing.T) {
 	rec, _ := p.Boot(udpServerConfig("spiky"), nil)
 	var durations []float64
 	for i := 0; i < 40; i++ {
-		res, err := p.Clone(rec.ID, rec.ID, 1, nil)
+		results, err := p.CloneOp(obs.OpCtx{}, CloneSpec{Caller: rec.ID, Parent: rec.ID, Count: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := results[0]
 		durations = append(durations, res.Total.Seconds()*1e3)
 	}
 	min, max := durations[0], durations[0]

@@ -44,19 +44,10 @@ type MigrateResult struct {
 // NewID returns the domain's ID on the target machine.
 func (r *MigrateResult) NewID() DomID { return r.Children[0] }
 
-// Migrate moves a running domain from p to target. The returned record
-// belongs to target's toolstack.
-//
-// Deprecated: it is the legacy meter-threading form of MigrateOp, kept so
-// existing callers and tests migrate incrementally; the trace attached
-// with Observe rides along.
-//
-//nephele:opctx-ok deprecated meter wrapper around MigrateOp
-func (p *Platform) Migrate(id DomID, target *Platform, name string, meter *vclock.Meter) (*toolstack.Record, *MigrateResult, error) {
-	return p.MigrateOp(p.opCtx(meter), id, target, name)
-}
-
-// MigrateOp is the canonical form of Migrate. The recorded span tree is
+// MigrateOp moves a running domain from p to target. The returned record
+// belongs to target's toolstack. ctx carries the operation's meter,
+// optional trace sink and fault scope; a ctx without a trace inherits the
+// sink attached with Observe. The recorded span tree is
 //
 //	migrate → save + restore + verify-p2m
 //
@@ -65,7 +56,7 @@ func (p *Platform) MigrateOp(ctx obs.OpCtx, id DomID, target *Platform, name str
 	if target == p {
 		return nil, nil, ErrMigrateSelf
 	}
-	ctx = ctx.EnsureMeter(p.Costs)
+	ctx = p.observed(ctx)
 	meter := ctx.Meter()
 	ctx, span := ctx.StartSpan("migrate")
 	defer span.End()

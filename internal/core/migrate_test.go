@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 )
 
 func TestMigrateMovesDomainAcrossPlatforms(t *testing.T) {
@@ -20,7 +21,7 @@ func TestMigrateMovesDomainAcrossPlatforms(t *testing.T) {
 	}
 
 	meter := src.NewMeter()
-	newRec, res, err := src.Migrate(rec.ID, dst, "", meter)
+	newRec, res, err := src.MigrateOp(obs.Ctx(meter), rec.ID, dst, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,15 +65,16 @@ func TestMigrateRefusesFamilyMembers(t *testing.T) {
 	src := smallPlatform(Options{SkipNameCheck: true})
 	dst := smallPlatform(Options{SkipNameCheck: true})
 	rec, _ := src.Boot(udpServerConfig("parent"), nil)
-	res, err := src.Clone(rec.ID, rec.ID, 1, nil)
+	results, err := src.CloneOp(obs.OpCtx{}, CloneSpec{Caller: rec.ID, Parent: rec.ID, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results[0]
 	// Neither the parent (live children) nor the clone may move.
-	if _, _, err := src.Migrate(rec.ID, dst, "", nil); !errors.Is(err, ErrMigrateClone) {
+	if _, _, err := src.MigrateOp(obs.OpCtx{}, rec.ID, dst, ""); !errors.Is(err, ErrMigrateClone) {
 		t.Fatalf("parent migration: %v", err)
 	}
-	if _, _, err := src.Migrate(res.Children[0], dst, "", nil); !errors.Is(err, ErrMigrateClone) {
+	if _, _, err := src.MigrateOp(obs.OpCtx{}, res.Children[0], dst, ""); !errors.Is(err, ErrMigrateClone) {
 		t.Fatalf("clone migration: %v", err)
 	}
 }
@@ -80,7 +82,7 @@ func TestMigrateRefusesFamilyMembers(t *testing.T) {
 func TestMigrateToSelfRefused(t *testing.T) {
 	p := smallPlatform(Options{SkipNameCheck: true})
 	rec, _ := p.Boot(udpServerConfig("x"), nil)
-	if _, _, err := p.Migrate(rec.ID, p, "", nil); !errors.Is(err, ErrMigrateSelf) {
+	if _, _, err := p.MigrateOp(obs.OpCtx{}, rec.ID, p, ""); !errors.Is(err, ErrMigrateSelf) {
 		t.Fatalf("self migration: %v", err)
 	}
 }
@@ -92,7 +94,7 @@ func TestMigrateNameCollisionOnTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, _ := src.Boot(udpServerConfig("taken"), nil)
-	if _, _, err := src.Migrate(rec.ID, dst, "", nil); err == nil {
+	if _, _, err := src.MigrateOp(obs.OpCtx{}, rec.ID, dst, ""); err == nil {
 		t.Fatal("migration over a taken name succeeded")
 	}
 	// The source survives a failed migration and is resumed.
@@ -104,7 +106,7 @@ func TestMigrateNameCollisionOnTarget(t *testing.T) {
 		t.Fatal("source left paused after failed migration")
 	}
 	// Retry with a fresh name works.
-	if _, _, err := src.Migrate(rec.ID, dst, "renamed", nil); err != nil {
+	if _, _, err := src.MigrateOp(obs.OpCtx{}, rec.ID, dst, "renamed"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -113,15 +115,50 @@ func TestMigratedDomainCanCloneOnTarget(t *testing.T) {
 	src := smallPlatform(Options{SkipNameCheck: true})
 	dst := smallPlatform(Options{SkipNameCheck: true})
 	rec, _ := src.Boot(udpServerConfig("mobile"), nil)
-	newRec, _, err := src.Migrate(rec.ID, dst, "", nil)
+	newRec, _, err := src.MigrateOp(obs.OpCtx{}, rec.ID, dst, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dst.Clone(newRec.ID, newRec.ID, 1, nil)
+	results, err := dst.CloneOp(obs.OpCtx{}, CloneSpec{Caller: newRec.ID, Parent: newRec.ID, Count: 1})
 	if err != nil {
 		t.Fatalf("clone after migration: %v", err)
 	}
+	res := results[0]
 	if !dst.HV.SameFamily(newRec.ID, res.Children[0]) {
 		t.Fatal("family relation missing on target")
+	}
+}
+
+// TestMigrateOpInheritsObservedTrace: a MigrateOp whose ctx carries no
+// trace records its span tree into the sink attached with Observe, the
+// same way CloneOp does.
+func TestMigrateOpInheritsObservedTrace(t *testing.T) {
+	src := smallPlatform(Options{SkipNameCheck: true})
+	dst := smallPlatform(Options{SkipNameCheck: true})
+	rec, err := src.Boot(udpServerConfig("observed"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace()
+	src.Observe(tr)
+	if _, _, err := src.MigrateOp(obs.Ctx(src.NewMeter()), rec.ID, dst, ""); err != nil {
+		t.Fatal(err)
+	}
+	spans := tr.Spans()
+	want := []struct {
+		name   string
+		parent int32
+	}{{"migrate", 0}, {"save", 1}, {"restore", 1}, {"verify-p2m", 1}}
+	if len(spans) != len(want) {
+		t.Fatalf("recorded %d spans, want %d:\n%s", len(spans), len(want), tr.Render())
+	}
+	for i, w := range want {
+		if spans[i].Name != w.name || spans[i].Parent != w.parent {
+			t.Fatalf("span %d = %s (parent %d), want %s (parent %d):\n%s",
+				i, spans[i].Name, spans[i].Parent, w.name, w.parent, tr.Render())
+		}
+	}
+	if spans[0].DurV() <= 0 {
+		t.Fatalf("migrate span has no virtual duration:\n%s", tr.Render())
 	}
 }

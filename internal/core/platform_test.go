@@ -7,6 +7,7 @@ import (
 	"nephele/internal/cloned"
 	"nephele/internal/hv"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 )
 
@@ -61,10 +62,11 @@ func TestCloneEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	meter := p.NewMeter()
-	res, err := p.Clone(rec.ID, rec.ID, 1, meter)
+	results, err := p.CloneOp(obs.Ctx(meter), CloneSpec{Caller: rec.ID, Parent: rec.ID, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results[0]
 	if len(res.Children) != 1 {
 		t.Fatalf("children = %d", len(res.Children))
 	}
@@ -118,10 +120,11 @@ func TestCloneLatencyCalibration(t *testing.T) {
 	// low instance counts is in the 15-35 ms band.
 	p := smallPlatform(Options{SkipNameCheck: true})
 	rec, _ := p.Boot(udpServerConfig("udp-0"), nil)
-	res, err := p.Clone(rec.ID, rec.ID, 1, nil)
+	results, err := p.CloneOp(obs.OpCtx{}, CloneSpec{Caller: rec.ID, Parent: rec.ID, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results[0]
 	ms := res.Total.Seconds() * 1e3
 	if ms < 10 || ms > 40 {
 		t.Fatalf("clone total = %.1f ms, want ~20-30 ms", ms)
@@ -138,14 +141,16 @@ func TestCloneDeepCopySlower(t *testing.T) {
 	slow := smallPlatform(Options{SkipNameCheck: true, Cloned: cloned.Options{UseDeepCopy: true}})
 	frec, _ := fast.Boot(udpServerConfig("udp-0"), nil)
 	srec, _ := slow.Boot(udpServerConfig("udp-0"), nil)
-	fres, err := fast.Clone(frec.ID, frec.ID, 1, nil)
+	fresAll, err := fast.CloneOp(obs.OpCtx{}, CloneSpec{Caller: frec.ID, Parent: frec.ID, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := slow.Clone(srec.ID, srec.ID, 1, nil)
+	fres := fresAll[0]
+	sresAll, err := slow.CloneOp(obs.OpCtx{}, CloneSpec{Caller: srec.ID, Parent: srec.ID, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sres := sresAll[0]
 	if sres.Total <= fres.Total {
 		t.Fatalf("deep copy (%v) not slower than xs_clone (%v)", sres.Total, fres.Total)
 	}
@@ -154,14 +159,16 @@ func TestCloneDeepCopySlower(t *testing.T) {
 func TestCloneOfCloneThroughPlatform(t *testing.T) {
 	p := smallPlatform(Options{SkipNameCheck: true})
 	rec, _ := p.Boot(udpServerConfig("udp-0"), nil)
-	res1, err := p.Clone(rec.ID, rec.ID, 1, nil)
+	res1All, err := p.CloneOp(obs.OpCtx{}, CloneSpec{Caller: rec.ID, Parent: rec.ID, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := p.Clone(res1.Children[0], res1.Children[0], 1, nil)
+	res1 := res1All[0]
+	res2All, err := p.CloneOp(obs.OpCtx{}, CloneSpec{Caller: res1.Children[0], Parent: res1.Children[0], Count: 1})
 	if err != nil {
 		t.Fatalf("clone of clone: %v", err)
 	}
+	res2 := res2All[0]
 	if !p.HV.SameFamily(rec.ID, res2.Children[0]) {
 		t.Fatal("grandchild not in family")
 	}
@@ -172,14 +179,16 @@ func TestSecondCloneCheaperWithCache(t *testing.T) {
 	// xencloned's parent-info caching.
 	p := smallPlatform(Options{SkipNameCheck: true})
 	rec, _ := p.Boot(udpServerConfig("udp-0"), nil)
-	r1, err := p.Clone(rec.ID, rec.ID, 1, nil)
+	r1All, err := p.CloneOp(obs.OpCtx{}, CloneSpec{Caller: rec.ID, Parent: rec.ID, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := p.Clone(rec.ID, rec.ID, 1, nil)
+	r1 := r1All[0]
+	r2All, err := p.CloneOp(obs.OpCtx{}, CloneSpec{Caller: rec.ID, Parent: rec.ID, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r2 := r2All[0]
 	if r2.SecondStage >= r1.SecondStage {
 		t.Fatalf("second clone second stage (%v) not cheaper than first (%v)", r2.SecondStage, r1.SecondStage)
 	}
@@ -187,8 +196,10 @@ func TestSecondCloneCheaperWithCache(t *testing.T) {
 	// Without the cache both cost the same.
 	q := smallPlatform(Options{SkipNameCheck: true, Cloned: cloned.Options{DisableCache: true}})
 	qrec, _ := q.Boot(udpServerConfig("udp-0"), nil)
-	q1, _ := q.Clone(qrec.ID, qrec.ID, 1, nil)
-	q2, _ := q.Clone(qrec.ID, qrec.ID, 1, nil)
+	q1All, _ := q.CloneOp(obs.OpCtx{}, CloneSpec{Caller: qrec.ID, Parent: qrec.ID, Count: 1})
+	q1 := q1All[0]
+	q2All, _ := q.CloneOp(obs.OpCtx{}, CloneSpec{Caller: qrec.ID, Parent: qrec.ID, Count: 1})
+	q2 := q2All[0]
 	diff := q1.SecondStage - q2.SecondStage
 	if diff < 0 {
 		diff = -diff
@@ -201,10 +212,11 @@ func TestSecondCloneCheaperWithCache(t *testing.T) {
 func TestSkipDevicesOption(t *testing.T) {
 	p := smallPlatform(Options{SkipNameCheck: true, Cloned: cloned.Options{SkipDevices: true}})
 	rec, _ := p.Boot(udpServerConfig("udp-0"), nil)
-	res, err := p.Clone(rec.ID, rec.ID, 1, nil)
+	results, err := p.CloneOp(obs.OpCtx{}, CloneSpec{Caller: rec.ID, Parent: rec.ID, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results[0]
 	// No vif was cloned.
 	if _, err := p.GuestVif(res.Children[0], 0); err == nil {
 		t.Fatal("vif cloned despite SkipDevices")
@@ -221,10 +233,11 @@ func TestSkipNetworkDevicesOption(t *testing.T) {
 	cfg := udpServerConfig("redis-0")
 	cfg.NinePFS = []toolstack.NinePConfig{{Export: "/export", Tag: "rootfs"}}
 	rec, _ := p.Boot(cfg, nil)
-	res, err := p.Clone(rec.ID, rec.ID, 1, nil)
+	results, err := p.CloneOp(obs.OpCtx{}, CloneSpec{Caller: rec.ID, Parent: rec.ID, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results[0]
 	child := res.Children[0]
 	if _, err := p.GuestVif(child, 0); err == nil {
 		t.Fatal("network device cloned despite option")
@@ -241,10 +254,11 @@ func TestSkipNetworkDevicesOption(t *testing.T) {
 func TestLeaveChildrenPaused(t *testing.T) {
 	p := smallPlatform(Options{SkipNameCheck: true, Cloned: cloned.Options{LeaveChildrenPaused: true}})
 	rec, _ := p.Boot(udpServerConfig("udp-0"), nil)
-	res, err := p.Clone(rec.ID, rec.ID, 1, nil)
+	results, err := p.CloneOp(obs.OpCtx{}, CloneSpec{Caller: rec.ID, Parent: rec.ID, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results[0]
 	cd, _ := p.HV.Domain(res.Children[0])
 	if !cd.Paused() {
 		t.Fatal("child running despite LeaveChildrenPaused")
@@ -266,10 +280,11 @@ func TestCloneGrowthWithInstances(t *testing.T) {
 	var first, last time.Duration
 	const n = 60
 	for i := 0; i < n; i++ {
-		res, err := p.Clone(rec.ID, rec.ID, 1, nil)
+		results, err := p.CloneOp(obs.OpCtx{}, CloneSpec{Caller: rec.ID, Parent: rec.ID, Count: 1})
 		if err != nil {
 			t.Fatalf("clone %d: %v", i, err)
 		}
+		res := results[0]
 		if i == 1 {
 			first = res.Total // skip clone 0 (cache warmup)
 		}
@@ -295,8 +310,9 @@ func TestMemoryReport(t *testing.T) {
 	if after.Dom0UsedBytes <= before.Dom0UsedBytes {
 		t.Fatal("boot did not consume Dom0 memory")
 	}
-	res, _ := p.Clone(rec.ID, rec.ID, 1, nil)
-	_ = res
+	if _, err := p.CloneOp(obs.OpCtx{}, CloneSpec{Caller: rec.ID, Parent: rec.ID, Count: 1}); err != nil {
+		t.Fatal(err)
+	}
 	withClone := p.Memory()
 	bootCost := before.HypFreeBytes - after.HypFreeBytes
 	cloneCost := after.HypFreeBytes - withClone.HypFreeBytes

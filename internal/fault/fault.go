@@ -128,8 +128,9 @@ func CachePoints() []string {
 }
 
 // FirstStagePoints lists the fault points inside the CLONEOP hypercall:
-// a failure there surfaces as a CloneOpClone error before any notification
-// reaches xencloned, and the hypervisor unwinds the partial child itself.
+// a failure there surfaces as a first-stage error from hv.Clone before any
+// notification reaches xencloned, and the hypervisor unwinds the partial
+// child itself.
 func FirstStagePoints() []string {
 	return []string{PointHVCloneOne, PointHVNotifyPush}
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"nephele/internal/core"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 )
 
 func TestKernelWithoutVifErrors(t *testing.T) {
@@ -39,10 +41,11 @@ func TestAdoptKernelView(t *testing.T) {
 	p, k := testEnv(t, guestCfg("adopt-parent"))
 	// Clone through the platform (the Dom0/fuzzing path), then adopt the
 	// clone without running its boot path.
-	res, err := p.Clone(k.Dom, k.Dom, 1, nil)
+	results, err := p.CloneOp(obs.OpCtx{}, core.CloneSpec{Caller: k.Dom, Parent: k.Dom, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results[0]
 	dom, err := p.HV.Domain(res.Children[0])
 	if err != nil {
 		t.Fatal(err)

@@ -22,9 +22,9 @@ func TestCloneBatchAffinityDeterminism(t *testing.T) {
 		meters := make([]*vclock.Meter, len(parents))
 		for i, p := range parents {
 			meters[i] = vclock.NewMeter(nil)
-			reqs[i] = CloneRequest{Caller: p.ID, Target: p.ID, N: 2, CopyRing: true, Meter: meters[i]}
+			reqs[i] = CloneRequest{Caller: p.ID, Target: p.ID, N: 2, CopyRing: true, Ctx: obs.Ctx(meters[i])}
 		}
-		results := h.CloneBatchCtx(obs.OpCtx{}, reqs)
+		results := h.CloneBatch(obs.OpCtx{}, reqs)
 		var ids []DomID
 		var times []vclock.Duration
 		for i, r := range results {
@@ -53,7 +53,7 @@ func TestCloneBatchAffinityDeterminism(t *testing.T) {
 // TestCloneBatchAffinityMatchesFixed: the affinity-planned round returns
 // byte-identical per-request results to the fixed-order round — same
 // children, same meters, same stats — because planning only reorders the
-// build pool's queue. (CloneOpCloneBatch with one request bypasses
+// build pool's queue. (CloneBatch with one request bypasses
 // planning; this exercises the multi-request path against it.)
 func TestCloneBatchAffinityMatchesFixed(t *testing.T) {
 	type outcome struct {
@@ -69,9 +69,9 @@ func TestCloneBatchAffinityMatchesFixed(t *testing.T) {
 			meters := make([]*vclock.Meter, len(parents))
 			for i, p := range parents {
 				meters[i] = vclock.NewMeter(nil)
-				reqs[i] = CloneRequest{Caller: p.ID, Target: p.ID, N: 2, CopyRing: true, Meter: meters[i]}
+				reqs[i] = CloneRequest{Caller: p.ID, Target: p.ID, N: 2, CopyRing: true, Ctx: obs.Ctx(meters[i])}
 			}
-			results := h.CloneOpCloneBatch(reqs)
+			results := h.CloneBatch(obs.OpCtx{}, reqs)
 			completeAll(t, h, results)
 			for i, r := range results {
 				if r.Err != nil {
@@ -82,7 +82,7 @@ func TestCloneBatchAffinityMatchesFixed(t *testing.T) {
 		} else {
 			for _, p := range parents {
 				meter := vclock.NewMeter(nil)
-				r := h.Clone(CloneRequest{Caller: p.ID, Target: p.ID, N: 2, CopyRing: true, Meter: meter})
+				r := h.Clone(CloneRequest{Caller: p.ID, Target: p.ID, N: 2, CopyRing: true, Ctx: obs.Ctx(meter)})
 				if r.Err != nil {
 					t.Fatal(r.Err)
 				}
@@ -142,7 +142,7 @@ func TestCloneBatchDuringRestride(t *testing.T) {
 		for i, p := range parents {
 			reqs[i] = CloneRequest{Caller: p.ID, Target: p.ID, N: 2, CopyRing: true}
 		}
-		results := h.CloneOpCloneBatch(reqs)
+		results := h.CloneBatch(obs.OpCtx{}, reqs)
 		for i, res := range results {
 			if res.Err != nil {
 				t.Fatalf("round %d request %d: %v", r, i, res.Err)
@@ -152,7 +152,7 @@ func TestCloneBatchDuringRestride(t *testing.T) {
 		completeAll(t, h, results)
 		for _, res := range results {
 			for _, k := range res.Children {
-				if err := h.DestroyDomain(k, nil); err != nil {
+				if err := h.DomainDestroy(obs.OpCtx{}, k); err != nil {
 					t.Fatalf("destroy child %d: %v", k, err)
 				}
 			}
@@ -178,7 +178,7 @@ func TestShardMaskCoversParents(t *testing.T) {
 	pages := 64 << 20 / mem.PageSize
 	var masks []uint32
 	for i := 0; i < 4; i++ {
-		p, err := h.CreateDomain(pages, 1, nil)
+		p, err := h.DomainCreate(obs.OpCtx{}, pages, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

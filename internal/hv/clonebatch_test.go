@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nephele/internal/fault"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -16,7 +17,7 @@ func batchReady(t *testing.T, parents, pages, maxClones int) (*Hypervisor, []*Do
 	h.SetCloningEnabled(true)
 	doms := make([]*Domain, parents)
 	for i := range doms {
-		p, err := h.CreateDomain(pages, 1, nil)
+		p, err := h.DomainCreate(obs.OpCtx{}, pages, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,14 +31,14 @@ func batchReady(t *testing.T, parents, pages, maxClones int) (*Hypervisor, []*Do
 
 // completeAll acknowledges the second stage for every child of every
 // successful result and waits for the Done channels (parents resumed).
-func completeAll(t *testing.T, h *Hypervisor, results []CloneBatchResult) {
+func completeAll(t *testing.T, h *Hypervisor, results []CloneResult) {
 	t.Helper()
 	for _, r := range results {
 		if r.Err != nil {
 			continue
 		}
 		for _, k := range r.Children {
-			if err := h.CloneOpCompletion(k, true, nil); err != nil {
+			if err := h.CloneCompletion(obs.OpCtx{}, k, true); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -56,15 +57,16 @@ func completeAll(t *testing.T, h *Hypervisor, results []CloneBatchResult) {
 func TestCloneBatchVirtualTimeMatchesSolo(t *testing.T) {
 	const pages, n = 64, 2
 
-	// Solo run: one parent, one CloneOpClone.
+	// Solo run: one parent, one Clone.
 	hs, solos := batchReady(t, 1, pages, 4)
 	soloMeter := vclock.NewMeter(nil)
-	kids, soloStats, done, err := hs.CloneOpClone(solos[0].ID, solos[0].ID, n, true, soloMeter)
+	res := hs.Clone(CloneRequest{Caller: solos[0].ID, Target: solos[0].ID, N: n, CopyRing: true, Ctx: obs.Ctx(soloMeter)})
+	kids, soloStats, done, err := res.Children, res.Stats, res.Done, res.Err
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range kids {
-		hs.CloneOpCompletion(k, true, nil)
+		hs.CloneCompletion(obs.OpCtx{}, k, true)
 	}
 	<-done
 
@@ -74,9 +76,9 @@ func TestCloneBatchVirtualTimeMatchesSolo(t *testing.T) {
 	meters := make([]*vclock.Meter, len(parents))
 	for i, p := range parents {
 		meters[i] = vclock.NewMeter(nil)
-		reqs[i] = CloneRequest{Caller: p.ID, Target: p.ID, N: n, CopyRing: true, Meter: meters[i]}
+		reqs[i] = CloneRequest{Caller: p.ID, Target: p.ID, N: n, CopyRing: true, Ctx: obs.Ctx(meters[i])}
 	}
-	results := hb.CloneOpCloneBatch(reqs)
+	results := hb.CloneBatch(obs.OpCtx{}, reqs)
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("request %d: %v", i, r.Err)
@@ -104,7 +106,7 @@ func TestCloneBatchMultiParent(t *testing.T) {
 		{Caller: parents[1].ID, Target: parents[1].ID, N: 1, CopyRing: true},
 		{Caller: parents[2].ID, Target: parents[2].ID, N: 2, CopyRing: true},
 	}
-	results := h.CloneOpCloneBatch(reqs)
+	results := h.CloneBatch(obs.OpCtx{}, reqs)
 	if len(results) != len(reqs) {
 		t.Fatalf("got %d results for %d requests", len(results), len(reqs))
 	}
@@ -152,7 +154,7 @@ func TestCloneBatchMultiParent(t *testing.T) {
 // disturbing the neighbouring requests in the round.
 func TestCloneBatchAdmissionFailureIsolated(t *testing.T) {
 	h, parents := batchReady(t, 2, 32, 4)
-	outsider, err := h.CreateDomain(32, 1, nil)
+	outsider, err := h.DomainCreate(obs.OpCtx{}, 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +163,7 @@ func TestCloneBatchAdmissionFailureIsolated(t *testing.T) {
 		{Caller: outsider.ID, Target: outsider.ID, N: 1, CopyRing: true},
 		{Caller: parents[1].ID, Target: parents[1].ID, N: 1, CopyRing: true},
 	}
-	results := h.CloneOpCloneBatch(reqs)
+	results := h.CloneBatch(obs.OpCtx{}, reqs)
 	if !errors.Is(results[1].Err, ErrCloningDisabled) {
 		t.Fatalf("outsider request error = %v, want ErrCloningDisabled", results[1].Err)
 	}
@@ -194,7 +196,7 @@ func TestCloneBatchFaultGatePerRequest(t *testing.T) {
 		{Caller: parents[0].ID, Target: parents[0].ID, N: 2, CopyRing: true},
 		{Caller: parents[1].ID, Target: parents[1].ID, N: 2, CopyRing: true},
 	}
-	results := h.CloneOpCloneBatch(reqs)
+	results := h.CloneBatch(obs.OpCtx{}, reqs)
 	if results[0].Err != nil {
 		t.Fatalf("request 0: %v", results[0].Err)
 	}
@@ -212,12 +214,13 @@ func TestCloneBatchFaultGatePerRequest(t *testing.T) {
 	// The failed request refunded its budget and returned its reserved
 	// IDs: parent 1 can still use its full allowance.
 	h.SetFaults(nil)
-	kids, _, done, err := h.CloneOpClone(parents[1].ID, parents[1].ID, 4, true, nil)
+	res := h.Clone(CloneRequest{Caller: parents[1].ID, Target: parents[1].ID, N: 4, CopyRing: true})
+	kids, done, err := res.Children, res.Done, res.Err
 	if err != nil {
 		t.Fatalf("post-fault clone: %v", err)
 	}
 	for _, k := range kids {
-		h.CloneOpCompletion(k, true, nil)
+		h.CloneCompletion(obs.OpCtx{}, k, true)
 	}
 	<-done
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -14,7 +15,7 @@ func cloneReadyHV(t *testing.T, maxClones int) (*Hypervisor, *Domain) {
 	t.Helper()
 	h := newHV(t)
 	h.SetCloningEnabled(true)
-	p, err := h.CreateDomain(16, 1, nil)
+	p, err := h.DomainCreate(obs.OpCtx{}, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,8 @@ func cloneReadyHV(t *testing.T, maxClones int) (*Hypervisor, *Domain) {
 // child stays paused with a pending completion wait).
 func cloneChild(t *testing.T, h *Hypervisor, p *Domain) DomID {
 	t.Helper()
-	kids, _, _, err := h.CloneOpClone(p.ID, p.ID, 1, true, nil)
+	res := h.Clone(CloneRequest{Caller: p.ID, Target: p.ID, N: 1, CopyRing: true})
+	kids, err := res.Children, res.Err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +39,8 @@ func cloneChild(t *testing.T, h *Hypervisor, p *Domain) DomID {
 
 func TestCloneOpResetUnknownChild(t *testing.T) {
 	h, _ := cloneReadyHV(t, 4)
-	if _, err := h.CloneOpReset(DomID(999), nil); err == nil {
-		t.Fatal("CloneOpReset accepted an unknown domain")
+	if _, err := h.CloneReset(obs.OpCtx{}, DomID(999)); err == nil {
+		t.Fatal("CloneReset accepted an unknown domain")
 	}
 }
 
@@ -46,8 +48,8 @@ func TestCloneOpResetNonCloneDomain(t *testing.T) {
 	h, p := cloneReadyHV(t, 4)
 	// The parent itself has no parent: resetting it must be rejected, not
 	// treated as a no-op (it would silently skip the restore).
-	if _, err := h.CloneOpReset(p.ID, nil); err == nil {
-		t.Fatal("CloneOpReset accepted a domain that is not a clone")
+	if _, err := h.CloneReset(obs.OpCtx{}, p.ID); err == nil {
+		t.Fatal("CloneReset accepted a domain that is not a clone")
 	}
 }
 
@@ -55,23 +57,23 @@ func TestCloneOpResetOrphanedClone(t *testing.T) {
 	h, p := cloneReadyHV(t, 4)
 	child := cloneChild(t, h, p)
 	h.PopNotifications()
-	if err := h.CloneOpCompletion(child, true, nil); err != nil {
+	if err := h.CloneCompletion(obs.OpCtx{}, child, true); err != nil {
 		t.Fatal(err)
 	}
 	// Destroying the parent orphans the clone; reset has no memory image
 	// to restore towards and must fail rather than corrupt the child.
-	if err := h.DestroyDomain(p.ID, nil); err != nil {
+	if err := h.DomainDestroy(obs.OpCtx{}, p.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.CloneOpReset(child, nil); err == nil {
-		t.Fatal("CloneOpReset succeeded against a destroyed parent")
+	if _, err := h.CloneReset(obs.OpCtx{}, child); err == nil {
+		t.Fatal("CloneReset succeeded against a destroyed parent")
 	}
 }
 
 func TestCloneOpCOWUnknownDomain(t *testing.T) {
 	h, _ := cloneReadyHV(t, 4)
-	if err := h.CloneOpCOW(DomID(999), []mem.PFN{0}, nil); err == nil {
-		t.Fatal("CloneOpCOW accepted an unknown domain")
+	if err := h.CloneCOW(obs.OpCtx{}, DomID(999), []mem.PFN{0}); err == nil {
+		t.Fatal("CloneCOW accepted an unknown domain")
 	}
 }
 
@@ -105,14 +107,14 @@ func TestCloneOpCOWExhaustedMemory(t *testing.T) {
 	if free := h.Memory.FreeFrames(); free != 0 {
 		t.Fatalf("FreeFrames = %d after exhaustion", free)
 	}
-	if err := h.CloneOpCOW(child, []mem.PFN{target}, vclock.NewMeter(nil)); err == nil {
-		t.Fatal("CloneOpCOW succeeded with no free memory")
+	if err := h.CloneCOW(obs.Ctx(vclock.NewMeter(nil)), child, []mem.PFN{target}); err == nil {
+		t.Fatal("CloneCOW succeeded with no free memory")
 	}
 }
 
 func TestCloneOpAbortUnknownChild(t *testing.T) {
 	h, _ := cloneReadyHV(t, 4)
-	err := h.CloneOpAbort(DomID(999), nil)
+	err := h.CloneAbort(obs.OpCtx{}, DomID(999))
 	if !errors.Is(err, ErrNoPendingClone) {
 		t.Fatalf("err = %v, want ErrNoPendingClone", err)
 	}
@@ -123,7 +125,7 @@ func TestCloneOpAbortIsTerminal(t *testing.T) {
 	child := cloneChild(t, h, p)
 	h.PopNotifications()
 
-	if err := h.CloneOpAbort(child, vclock.NewMeter(nil)); err != nil {
+	if err := h.CloneAbort(obs.Ctx(vclock.NewMeter(nil)), child); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.Domain(child); err == nil {
@@ -134,11 +136,11 @@ func TestCloneOpAbortIsTerminal(t *testing.T) {
 	}
 	// A second abort (a daemon retrying after a reported error) must not
 	// double-release anything.
-	if err := h.CloneOpAbort(child, nil); !errors.Is(err, ErrNoPendingClone) {
+	if err := h.CloneAbort(obs.OpCtx{}, child); !errors.Is(err, ErrNoPendingClone) {
 		t.Fatalf("double abort err = %v, want ErrNoPendingClone", err)
 	}
 	// Completion after abort is equally stale.
-	if err := h.CloneOpCompletion(child, true, nil); !errors.Is(err, ErrNoPendingClone) {
+	if err := h.CloneCompletion(obs.OpCtx{}, child, true); !errors.Is(err, ErrNoPendingClone) {
 		t.Fatalf("completion after abort err = %v, want ErrNoPendingClone", err)
 	}
 }
@@ -148,10 +150,10 @@ func TestCloneOpAbortAfterCompletionIsRejected(t *testing.T) {
 	child := cloneChild(t, h, p)
 	h.PopNotifications()
 
-	if err := h.CloneOpCompletion(child, true, nil); err != nil {
+	if err := h.CloneCompletion(obs.OpCtx{}, child, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.CloneOpAbort(child, nil); !errors.Is(err, ErrNoPendingClone) {
+	if err := h.CloneAbort(obs.OpCtx{}, child); !errors.Is(err, ErrNoPendingClone) {
 		t.Fatalf("abort after completion err = %v, want ErrNoPendingClone", err)
 	}
 	// The completed clone must survive the stale abort.
@@ -169,19 +171,20 @@ func TestCloneOpAbortRefundsCloneBudget(t *testing.T) {
 	h.PopNotifications()
 
 	// The budget is spent: a second clone is over the limit.
-	if _, _, _, err := h.CloneOpClone(p.ID, p.ID, 1, true, nil); !errors.Is(err, ErrCloneLimit) {
+	if err := h.Clone(CloneRequest{Caller: p.ID, Target: p.ID, N: 1, CopyRing: true}).Err; !errors.Is(err, ErrCloneLimit) {
 		t.Fatalf("second clone err = %v, want ErrCloneLimit", err)
 	}
-	if err := h.CloneOpAbort(child, nil); err != nil {
+	if err := h.CloneAbort(obs.OpCtx{}, child); err != nil {
 		t.Fatal(err)
 	}
 	// The abort refunded the slot; cloning works again.
-	kids, _, _, err := h.CloneOpClone(p.ID, p.ID, 1, true, nil)
+	res := h.Clone(CloneRequest{Caller: p.ID, Target: p.ID, N: 1, CopyRing: true})
+	kids, err := res.Children, res.Err
 	if err != nil {
 		t.Fatalf("clone after abort failed: %v", err)
 	}
 	h.PopNotifications()
-	if err := h.CloneOpCompletion(kids[0], true, nil); err != nil {
+	if err := h.CloneCompletion(obs.OpCtx{}, kids[0], true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -196,7 +199,7 @@ func TestCloneOpAbortDropsQueuedNotification(t *testing.T) {
 	// Abort lands before the daemon drained the ring: the stale
 	// notification must go with it, or the daemon would second-stage a
 	// destroyed domain.
-	if err := h.CloneOpAbort(child, nil); err != nil {
+	if err := h.CloneAbort(obs.OpCtx{}, child); err != nil {
 		t.Fatal(err)
 	}
 	if h.PendingNotifications() != 0 {

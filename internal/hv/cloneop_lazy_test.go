@@ -22,7 +22,7 @@ func lazyClone(t *testing.T, h *Hypervisor, p *Domain) *Domain {
 	if res.Stats.Memory.Deferred == 0 {
 		t.Fatal("lazy clone deferred nothing")
 	}
-	if err := h.CloneOpCompletion(res.Children[0], true, nil); err != nil {
+	if err := h.CloneCompletion(obs.OpCtx{}, res.Children[0], true); err != nil {
 		t.Fatalf("completion: %v", err)
 	}
 	d, err := h.Domain(res.Children[0])
@@ -53,7 +53,7 @@ func TestCloneResetDrainsStreamer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rm := vclock.NewMeter(nil)
-	restored, err := h.CloneOpReset(c.ID, rm)
+	restored, err := h.CloneReset(obs.Ctx(rm), c.ID)
 	if err != nil {
 		t.Fatalf("reset mid-stream: %v", err)
 	}

@@ -1,7 +1,7 @@
 package hv
 
 // notifyRing is the bounded clone-notification ring registered by
-// xencloned, with a child-ID index so CloneOpAbort can drop a queued
+// xencloned, with a child-ID index so CloneAbort can drop a queued
 // notification in O(1) instead of scanning the ring. Dropped slots become
 // tombstones that popAll skips, so push/drop/pop are all constant-time per
 // notification. The ring is guarded by the hypervisor mutex, like the

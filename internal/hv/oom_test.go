@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 )
 
 func TestCloneOOMUnwindsCleanly(t *testing.T) {
@@ -13,7 +14,7 @@ func TestCloneOOMUnwindsCleanly(t *testing.T) {
 	cfg.MemoryBytes = 6 << 20 // 1536 frames
 	h := New(cfg)
 	h.SetCloningEnabled(true)
-	p, err := h.CreateDomain(1024, 1, nil) // ~1040 frames used
+	p, err := h.DomainCreate(obs.OpCtx{}, 1024, 1) // ~1040 frames used
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +23,7 @@ func TestCloneOOMUnwindsCleanly(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		p.Space().SetKind(mem.PFN(i), mem.KindIORing)
 	}
-	_, _, _, err = h.CloneOpClone(p.ID, p.ID, 1, true, nil)
+	err = h.Clone(CloneRequest{Caller: p.ID, Target: p.ID, N: 1, CopyRing: true}).Err
 	if err == nil {
 		t.Fatal("clone succeeded despite OOM")
 	}

@@ -28,6 +28,7 @@ import (
 
 	"nephele/internal/mem"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/ring"
 	"nephele/internal/vclock"
 )
@@ -315,7 +316,7 @@ func (h *Host) KVMClone(id VMID, meter *vclock.Meter) (*VM, error) {
 	h.nextID++
 	h.mu.Unlock()
 
-	cspace, _, err := parent.space.Clone(mem.DomID(uint32(cid)), true, meter)
+	cspace, _, err := parent.space.CloneOp(obs.Ctx(meter), mem.DomID(uint32(cid)), true, mem.CloneEager)
 	if err != nil {
 		return nil, err
 	}
@@ -406,7 +407,7 @@ func (d *Cloned) serveOne(note CloneNotification, meter *vclock.Meter) error {
 func (d *Cloned) Served() int { return d.served }
 
 // Clone is the full two-stage convenience used by tests and comparisons:
-// ioctl + daemon service, like core.Platform.Clone on the Xen side.
+// ioctl + daemon service, like core.Platform.CloneOp on the Xen side.
 func (h *Host) Clone(id VMID, meter *vclock.Meter) (*VM, error) {
 	h.mu.Lock()
 	daemon := h.daemon

@@ -8,7 +8,7 @@ import (
 )
 
 // TestHomeShardDistribution: sequential DomIDs — exactly what hv.nextDom
-// hands out to a CloneMany batch — must spread across shards instead of
+// hands out to a multi-parent clone round — must spread across shards instead of
 // marching over neighbours in lockstep like the old dom % nshards mapping.
 // With 64 sequential IDs over 16 shards a perfectly uniform deal is 4 per
 // shard; the multiplicative hash is required to stay within 3x of uniform

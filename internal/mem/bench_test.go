@@ -33,7 +33,7 @@ func BenchmarkSpaceClone(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if _, _, err := parent.Clone(2, false, nil); err != nil {
+				if _, _, err := parent.CloneOp(obs.OpCtx{}, 2, false, CloneEager); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -45,14 +45,14 @@ func BenchmarkSpaceClone(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			warm, _, err := parent.Clone(2, false, nil)
+			warm, _, err := parent.CloneOp(obs.OpCtx{}, 2, false, CloneEager)
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer warm.Release()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				child, _, err := parent.Clone(3, false, nil)
+				child, _, err := parent.CloneOp(obs.OpCtx{}, 3, false, CloneEager)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -90,7 +90,7 @@ func BenchmarkLazyClone(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				child, _, err := parent.CloneOpMode(obs.Ctx(vclock.NewMeter(nil)), 2, false, CloneLazy)
+				child, _, err := parent.CloneOp(obs.Ctx(vclock.NewMeter(nil)), 2, false, CloneLazy)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -148,7 +148,7 @@ func BenchmarkMultiParentClone(b *testing.B) {
 				}
 				// Warm clone: every regular page moves to dom_cow so the
 				// timed rounds all take the sharer-bump fast path.
-				warm, _, err := parent.Clone(DomID(600*nsh+(1+parents+i)%nsh), false, nil)
+				warm, _, err := parent.CloneOp(obs.OpCtx{}, DomID(600*nsh+(1+parents+i)%nsh), false, CloneEager)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -162,7 +162,7 @@ func BenchmarkMultiParentClone(b *testing.B) {
 					wg.Add(1)
 					go func(p int) {
 						defer wg.Done()
-						child, _, err := spaces[p].Clone(childDom(p), false, nil)
+						child, _, err := spaces[p].CloneOp(obs.OpCtx{}, childDom(p), false, CloneEager)
 						if err != nil {
 							b.Error(err)
 							return
@@ -221,7 +221,7 @@ func BenchmarkMultiParentClone(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				warm, _, err := parent.Clone(DomID(20000+i), false, nil)
+				warm, _, err := parent.CloneOp(obs.OpCtx{}, DomID(20000+i), false, CloneEager)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -236,7 +236,7 @@ func BenchmarkMultiParentClone(b *testing.B) {
 			for i, s := range spaces {
 				masks[i] = s.ShardOccupancy() | 1<<m.HomeShard(childDom(i))
 				meter := vclock.NewMeter(nil)
-				probe, _, err := s.Clone(childDom(i), false, meter)
+				probe, _, err := s.CloneOp(obs.Ctx(meter), childDom(i), false, CloneEager)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -271,7 +271,7 @@ func BenchmarkMultiParentClone(b *testing.B) {
 								return
 							}
 							p := order[k]
-							child, _, err := spaces[p].Clone(childDom(p), false, nil)
+							child, _, err := spaces[p].CloneOp(obs.OpCtx{}, childDom(p), false, CloneEager)
 							if err != nil {
 								b.Error(err)
 								return

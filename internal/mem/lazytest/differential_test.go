@@ -159,7 +159,7 @@ func TestLazyLostExtentFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := obs.Ctx(s.cloneM).WithFaults(reg)
-	s.child, s.st, err = s.parent.CloneOpMode(ctx, childDom, true, mem.CloneLazy)
+	s.child, s.st, err = s.parent.CloneOp(ctx, childDom, true, mem.CloneLazy)
 	if err != nil {
 		t.Fatalf("clone: %v", err)
 	}
@@ -173,7 +173,7 @@ func TestLazyLostExtentFails(t *testing.T) {
 	if ss := s.child.StreamStats(); ss.Remaining == 0 {
 		t.Fatal("injected stream failure but no pages remaining")
 	}
-	if _, _, cerr := s.child.CloneOp(obs.Ctx(vclock.NewMeter(nil)), secondDom, true); !errors.Is(cerr, mem.ErrStreamPending) {
+	if _, _, cerr := s.child.CloneOp(obs.Ctx(vclock.NewMeter(nil)), secondDom, true, mem.CloneEager); !errors.Is(cerr, mem.ErrStreamPending) {
 		t.Fatalf("clone of half-streamed child = %v, want ErrStreamPending", cerr)
 	}
 	// Teardown still recovers every frame: the unstreamed pledges are
@@ -223,7 +223,7 @@ func TestLazyDemandFaultInjection(t *testing.T) {
 		}
 	}
 	ctx := obs.Ctx(lazy.cloneM).WithFaults(reg)
-	lazy.child, lazy.st, err = lazy.parent.CloneOpMode(ctx, childDom, true, mem.CloneLazy)
+	lazy.child, lazy.st, err = lazy.parent.CloneOp(ctx, childDom, true, mem.CloneLazy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestLazyCloneRollbackCancelsPledges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, cerr := parent.CloneOpMode(obs.Ctx(vclock.NewMeter(nil)), childDom, true, mem.CloneLazy)
+	_, _, cerr := parent.CloneOp(obs.Ctx(vclock.NewMeter(nil)), childDom, true, mem.CloneLazy)
 	if cerr == nil {
 		t.Fatal("clone unexpectedly succeeded in an exhausted pool")
 	}

@@ -206,7 +206,7 @@ func (sc *Scenario) build(mode mem.CloneMode) (*side, error) {
 			}
 		}
 	}
-	s.child, s.st, err = s.parent.CloneOpMode(obs.Ctx(s.cloneM), childDom, true, mode)
+	s.child, s.st, err = s.parent.CloneOp(obs.Ctx(s.cloneM), childDom, true, mode)
 	if err != nil {
 		return nil, fmt.Errorf("%v clone: %w", mode, err)
 	}
@@ -417,11 +417,11 @@ func (sc *Scenario) check(eager, lazy *side, streamV vclock.Duration) error {
 // the eager side's the sharer-bump fast path, and both must agree.
 func (sc *Scenario) secondClone(eager, lazy *side) error {
 	em, lm := vclock.NewMeter(nil), vclock.NewMeter(nil)
-	ec, est, err := eager.parent.CloneOp(obs.Ctx(em), secondDom, true)
+	ec, est, err := eager.parent.CloneOp(obs.Ctx(em), secondDom, true, mem.CloneEager)
 	if err != nil {
 		return fmt.Errorf("eager second clone: %w", err)
 	}
-	lc, lst, err := lazy.parent.CloneOp(obs.Ctx(lm), secondDom, true)
+	lc, lst, err := lazy.parent.CloneOp(obs.Ctx(lm), secondDom, true, mem.CloneEager)
 	if err != nil {
 		return fmt.Errorf("lazy-side second clone: %w", err)
 	}

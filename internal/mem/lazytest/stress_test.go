@@ -22,8 +22,8 @@ import (
 // detector for the whole lazy machinery.
 func TestLazyStressConcurrent(t *testing.T) {
 	const (
-		pages = 192
-		pairs = 4
+		pages  = 192
+		pairs  = 4
 		writes = 200
 	)
 	meta := mem.PTFrameCount(pages) + mem.P2MFrameCount(pages)
@@ -50,12 +50,12 @@ func TestLazyStressConcurrent(t *testing.T) {
 	nextDom := mem.DomID(10)
 	for i := range ps {
 		cloneMu.Lock()
-		e, _, err := parent.CloneOp(obs.Ctx(vclock.NewMeter(nil)), nextDom, true)
+		e, _, err := parent.CloneOp(obs.Ctx(vclock.NewMeter(nil)), nextDom, true, mem.CloneEager)
 		if err != nil {
 			cloneMu.Unlock()
 			t.Fatalf("pair %d eager clone: %v", i, err)
 		}
-		l, st, err := parent.CloneOpMode(obs.Ctx(vclock.NewMeter(nil)), nextDom+1, true, mem.CloneLazy)
+		l, st, err := parent.CloneOp(obs.Ctx(vclock.NewMeter(nil)), nextDom+1, true, mem.CloneLazy)
 		cloneMu.Unlock()
 		if err != nil {
 			t.Fatalf("pair %d lazy clone: %v", i, err)
@@ -194,7 +194,7 @@ func TestLazyReleaseMidStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		child, st, err := parent.CloneOpMode(obs.Ctx(vclock.NewMeter(nil)), childDom, true, mem.CloneLazy)
+		child, st, err := parent.CloneOp(obs.Ctx(vclock.NewMeter(nil)), childDom, true, mem.CloneLazy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestLazyCancelStreamFreezesProgress(t *testing.T) {
 	if err := parent.Write(0, 0, []byte("clone-time"), nil); err != nil {
 		t.Fatal(err)
 	}
-	child, _, err := parent.CloneOpMode(obs.Ctx(vclock.NewMeter(nil)), childDom, true, mem.CloneLazy)
+	child, _, err := parent.CloneOp(obs.Ctx(vclock.NewMeter(nil)), childDom, true, mem.CloneLazy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -567,8 +567,8 @@ func (m *Memory) UsedBy(dom DomID) int {
 // homeShardMul is the 64-bit golden-ratio multiplier (2^64 / φ) of
 // Fibonacci hashing. Its top bits mix even sequential inputs well, which
 // is exactly what domain IDs are: hv hands them out consecutively, and the
-// previous dom % nshards mapping marched whole CloneMany batches across
-// neighbouring shards in lockstep.
+// previous dom % nshards mapping marched whole multi-parent clone rounds
+// across neighbouring shards in lockstep.
 const homeShardMul = 0x9E3779B97F4A7C15
 
 // homeShard is the shard a domain's allocations start from. Spreading

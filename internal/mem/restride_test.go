@@ -113,11 +113,11 @@ func populatePool(t *testing.T, seed int64) (*Memory, []*Space, []DomID) {
 			t.Fatal(err)
 		}
 	}
-	child, _, err := parent.Clone(2, false, nil)
+	child, _, err := parent.CloneOp(obs.OpCtx{}, 2, false, CloneEager)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grand, _, err := child.Clone(3, false, nil)
+	grand, _, err := child.CloneOp(obs.OpCtx{}, 3, false, CloneEager)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestRestrideEquivalenceVsTwin(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		child, _, err := parent.Clone(2, false, meter)
+		child, _, err := parent.CloneOp(obs.Ctx(meter), 2, false, CloneEager)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,7 +397,7 @@ func TestRestrideUnderFire(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				child, _, err := parents[p].Clone(DomID(100+10*p+i%5), false, nil)
+				child, _, err := parents[p].CloneOp(obs.OpCtx{}, DomID(100+10*p+i%5), false, CloneEager)
 				if err != nil {
 					t.Error(err)
 					return
@@ -416,7 +416,7 @@ func TestRestrideUnderFire(t *testing.T) {
 		buf := make([]byte, 8)
 		for i := 0; i < iters; i++ {
 			ctx := obs.Ctx(vclock.NewMeter(nil))
-			child, _, err := parents[2].CloneOpMode(ctx, DomID(200+i%5), false, CloneLazy)
+			child, _, err := parents[2].CloneOp(ctx, DomID(200+i%5), false, CloneLazy)
 			if err != nil {
 				t.Error(err)
 				return

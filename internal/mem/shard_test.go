@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"nephele/internal/obs"
 )
 
 // shardedPool builds a pool whose layout the boundary tests rely on:
@@ -199,7 +201,7 @@ func TestSnapshotDuringConcurrentClones(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				child, _, err := spaces[p].Clone(DomID(10+parents*i+p), false, nil)
+				child, _, err := spaces[p].CloneOp(obs.OpCtx{}, DomID(10+parents*i+p), false, CloneEager)
 				if err != nil {
 					t.Error(err)
 					return

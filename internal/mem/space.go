@@ -443,12 +443,6 @@ type CloneStats struct {
 	Deferred      int // lazy entries left unmaterialized (CloneLazy only)
 }
 
-// Clone is the legacy meter-threading form of CloneOp, kept so existing
-// callers and tests migrate incrementally; new code builds an obs.OpCtx.
-func (s *Space) Clone(childDom DomID, copyRing bool, meter *vclock.Meter) (*Space, CloneStats, error) {
-	return s.CloneOp(obs.Ctx(meter), childDom, copyRing)
-}
-
 // CloneOp produces a child address space for childDom following the paper's
 // memory-cloning rules: regular writable pages are shared copy-on-write via
 // dom_cow; read-only pages are shared without write protection changes;
@@ -457,20 +451,17 @@ func (s *Space) Clone(childDom DomID, copyRing bool, meter *vclock.Meter) (*Spac
 // and p2m are rebuilt entry by entry. The parent's regular pages also
 // become COW in the parent. copyRing controls whether KindIORing contents
 // are copied (network devices) or left fresh (console).
-func (s *Space) CloneOp(ctx obs.OpCtx, childDom DomID, copyRing bool) (*Space, CloneStats, error) {
-	return s.CloneOpMode(ctx, childDom, copyRing, CloneEager)
-}
-
-// CloneOpMode is CloneOp with an explicit clone mode. Under CloneLazy the
-// regular extents are not shared at clone time: the parent's frames are
-// pledged (no ownership transfer, no charge), the child's entries enter the
-// lazy state, and a background streamer — plus the demand-fault paths in
+//
+// mode selects eager or lazy population. Under CloneLazy the regular
+// extents are not shared at clone time: the parent's frames are pledged
+// (no ownership transfer, no charge), the child's entries enter the lazy
+// state, and a background streamer — plus the demand-fault paths in
 // Read/Write/TouchCOW — materializes them afterwards, charging the deferred
 // PageShare/PTEntryClone/P2MEntryClone exactly once per page. Private kinds,
 // IDC regions and the metadata frames are always cloned eagerly (they are
 // the hot set a child needs to run at all). A space whose own lazy entries
 // are not yet fully materialized cannot be cloned (ErrStreamPending).
-func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode CloneMode) (*Space, CloneStats, error) {
+func (s *Space) CloneOp(ctx obs.OpCtx, childDom DomID, copyRing bool, mode CloneMode) (*Space, CloneStats, error) {
 	meter := ctx.Meter()
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"nephele/internal/fault"
 	"nephele/internal/hv"
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 )
 
 // seededImage hand-builds an image exercising every run kind: zero runs,
@@ -73,7 +74,7 @@ func TestRestoreDifferential(t *testing.T) {
 	}
 	want := domainBytes(t, r, cold.ID, img.npages)
 
-	miss, served, err := r.xl.RestoreCached(store, img, "diff-miss", nil)
+	miss, served, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "diff-miss")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestRestoreDifferential(t *testing.T) {
 		t.Fatal("cached-miss restore differs from cold restore")
 	}
 
-	hit, served, err := r.xl.RestoreCached(store, img, "diff-hit", nil)
+	hit, served, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "diff-hit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +152,10 @@ func TestRestoreCachedRealSave(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := domainBytes(t, r, cold.ID, img.npages)
-	if _, _, err := r.xl.RestoreCached(store, img, "tpl-miss", nil); err != nil {
+	if _, _, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "tpl-miss"); err != nil {
 		t.Fatal(err)
 	}
-	hit, served, err := r.xl.RestoreCached(store, img, "tpl-hit", nil)
+	hit, served, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "tpl-hit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestRestoreCachedRealSave(t *testing.T) {
 	if err := hdom.Space().Write(8, 0, []byte("scribble"), nil); err != nil {
 		t.Fatal(err)
 	}
-	again, _, err := r.xl.RestoreCached(store, img, "tpl-again", nil)
+	again, _, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "tpl-again")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func TestImageStoreDropKeepsSharedChunks(t *testing.T) {
 		t.Fatal("Drop missed a resident image")
 	}
 	// b's restore must still work off the shared chunks.
-	hit, served, err := r.xl.RestoreCached(store, b, "b-child", nil)
+	hit, served, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, b, "b-child")
 	if err != nil || !served {
 		t.Fatalf("restore after shared drop: served=%v err=%v", served, err)
 	}
@@ -359,7 +360,7 @@ func TestCacheInsertFaultRollsBack(t *testing.T) {
 	img := seededImage("f", 0x40)
 
 	free0 := r.hv.Memory.FreeFrames()
-	rec, served, err := r.xl.RestoreCached(store, img, "f-child", nil)
+	rec, served, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "f-child")
 	if err != nil || served {
 		t.Fatalf("restore under insert fault: served=%v err=%v", served, err)
 	}
@@ -376,7 +377,7 @@ func TestCacheInsertFaultRollsBack(t *testing.T) {
 		t.Fatalf("insert rollback leaked frames: %d != %d", got, free0)
 	}
 	// The point disarms after one shot: the next restore populates fine.
-	if _, _, err := r.xl.RestoreCached(store, img, "f-child2", nil); err != nil {
+	if _, _, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "f-child2"); err != nil {
 		t.Fatal(err)
 	}
 	if !store.Contains(img) {
@@ -400,7 +401,7 @@ func TestCacheRestoreFaultCleanRollback(t *testing.T) {
 
 	count0 := r.xl.Count()
 	free0 := r.hv.Memory.FreeFrames()
-	_, served, err := r.xl.RestoreCached(store, img, "g-child", nil)
+	_, served, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "g-child")
 	if err == nil || !served {
 		t.Fatalf("armed restore: served=%v err=%v", served, err)
 	}
@@ -413,7 +414,7 @@ func TestCacheRestoreFaultCleanRollback(t *testing.T) {
 	if !store.Contains(img) {
 		t.Fatal("failed restore evicted the image")
 	}
-	rec, served, err := r.xl.RestoreCached(store, img, "g-child2", nil)
+	rec, served, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "g-child2")
 	if err != nil || !served {
 		t.Fatalf("retry after fault: served=%v err=%v", served, err)
 	}
@@ -435,7 +436,7 @@ func TestRestoreCachedDestroyReleasesSharedFrames(t *testing.T) {
 	img := seededImage("h", 0x40)
 	var recs []*Record
 	for i := 0; i < 3; i++ {
-		rec, _, err := r.xl.RestoreCached(store, img, fmt.Sprintf("h-%d", i), nil)
+		rec, _, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, fmt.Sprintf("h-%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
