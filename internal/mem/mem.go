@@ -902,7 +902,6 @@ func (m *Memory) shareSegs(lay *layout, dom DomID, segs []segment, mask uint32, 
 	if refs < 1 {
 		return fmt.Errorf("mem: share with %d refs", refs)
 	}
-	transfers := 0
 	for _, sg := range segs {
 		fr, short := sg.frames()
 		for j := range fr {
@@ -910,18 +909,19 @@ func (m *Memory) shareSegs(lay *layout, dom DomID, segs []segment, mask uint32, 
 			if !f.inUse {
 				return fmt.Errorf("%w: %d", ErrDoubleFree, sg.mfn(j))
 			}
-			if f.owner != DomIDCOW {
-				if f.owner != dom {
-					return fmt.Errorf("%w: frame %d owned by %d, shared by %d", ErrNotOwner, sg.mfn(j), f.owner, dom)
-				}
-				transfers++
+			if f.owner != DomIDCOW && f.owner != dom {
+				return fmt.Errorf("%w: frame %d owned by %d, shared by %d", ErrNotOwner, sg.mfn(j), f.owner, dom)
 			}
 		}
 		if short {
 			return fmt.Errorf("%w: %d", ErrDoubleFree, sg.mfn(len(fr)))
 		}
 	}
+	// Transfers are counted as they happen, so a frame listed twice is
+	// transferred (and charged) once and then gains references, exactly
+	// as two calls would treat it.
 	var perShard [MaxShards]int
+	transfers := 0
 	for _, sg := range segs {
 		fr, _ := sg.frames()
 		t := 0
@@ -936,6 +936,7 @@ func (m *Memory) shareSegs(lay *layout, dom DomID, segs []segment, mask uint32, 
 			t++
 		}
 		perShard[sg.si] += t
+		transfers += t
 	}
 	if transfers > 0 {
 		// Every transferred frame was validated as owned by dom, so the
@@ -1058,9 +1059,11 @@ func (m *Memory) CopyOnWrite(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, erro
 		sh.mu.Unlock()
 		return 0, err
 	}
-	if f.owner != DomIDCOW {
+	if owner := f.owner; owner != DomIDCOW {
+		// Capture the owner under the lock: a streamer may convert the
+		// frame to dom_cow as soon as the shard is unlocked.
 		sh.mu.Unlock()
-		return 0, fmt.Errorf("%w: frame %d owned by %d", ErrNotShared, mfn, f.owner)
+		return 0, fmt.Errorf("%w: frame %d owned by %d", ErrNotShared, mfn, owner)
 	}
 	if f.refcount == 1 && f.pledges == 0 {
 		m.transferLastSharerLocked(sh, f, dom)

@@ -335,3 +335,30 @@ func TestAccountingInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShareNDuplicateFrameChargesOnce: a frame listed twice in one ShareN
+// is transferred and charged once, then gains references, exactly as two
+// calls would treat it.
+func TestShareNDuplicateFrameChargesOnce(t *testing.T) {
+	m := newTestMem(16)
+	mfns, err := m.AllocN(1, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meter := vclock.NewMeter(nil)
+	if err := m.ShareN(1, []MFN{mfns[0], mfns[1], mfns[0]}, 2, meter); err != nil {
+		t.Fatal(err)
+	}
+	if want := meter.Costs().PageShare * 2; meter.Elapsed() != want {
+		t.Fatalf("elapsed = %v, want %v (two transfers)", meter.Elapsed(), want)
+	}
+	if rc, _ := m.Refcount(mfns[0]); rc != 3 {
+		t.Fatalf("refcount of the repeated frame = %d, want 3", rc)
+	}
+	if rc, _ := m.Refcount(mfns[1]); rc != 2 {
+		t.Fatalf("refcount = %d, want 2", rc)
+	}
+	if got := m.SharedFrames(); got != 2 {
+		t.Fatalf("SharedFrames = %d, want 2", got)
+	}
+}

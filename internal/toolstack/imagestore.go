@@ -15,7 +15,7 @@ import (
 // inserted image becomes a chunk keyed by its XXH64 content hash and backed
 // by resident machine frames owned by the cache pseudo-domain and
 // transferred to dom_cow — so a cached restore materializes a child by
-// COW-sharing those frames (Space.AdoptShared, one sharer bump per frame)
+// COW-sharing those frames (Space.Populate, one sharer bump per frame)
 // instead of copying every page back. Chunks are deduplicated across
 // images: two snapshots whose guests wrote the same bytes share one set of
 // resident frames.

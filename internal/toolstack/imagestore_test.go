@@ -10,6 +10,7 @@ import (
 	"nephele/internal/hv"
 	"nephele/internal/mem"
 	"nephele/internal/obs"
+	"nephele/internal/vclock"
 )
 
 // seededImage hand-builds an image exercising every run kind: zero runs,
@@ -41,6 +42,46 @@ func seededImage(name string, seed byte) *Image {
 	}
 }
 
+// straddleImage hand-builds a layout whose last data run straddles the
+// regular/special boundary (pfns npages-8..npages-3, the top one the
+// Xenstore ring page) and whose closing alias run repeats part of it —
+// including a scrubbed nil slot — onto the console and start_info pages.
+// A cached restore shares the run's regular pages and copies the rest.
+func straddleImage(name string, seed byte) *Image {
+	cfg := baseConfig(name)
+	npages := cfg.Pages()
+	page := func(b byte) []byte {
+		return bytes.Repeat([]byte{b}, mem.PageSize)
+	}
+	top := mem.PFN(npages - 8)
+	return &Image{
+		Config: cfg,
+		npages: npages,
+		runs: []imageRun{
+			{start: 0, count: 8}, // zero
+			{start: 8, count: 4, pages: [][]byte{page(seed), nil, page(seed + 1), page(seed + 2)}},
+			{start: 12, count: int(top) - 12}, // zero
+			{start: top, count: 6, pages: [][]byte{
+				page(seed + 3), page(seed + 4), nil, page(seed + 5), page(seed + 6), page(seed + 7)}},
+			{start: top + 6, count: 2, alias: top + 1, isAlias: true},
+		},
+	}
+}
+
+// restoreLayouts are the image layouts every restore path must agree on.
+// Each carries the frames a cached hit adopts and the virtual time of each
+// restore in a fresh rig restoring cold, then cached (miss, then hit) —
+// values fixed before the restore paths were folded into Space.Populate.
+var restoreLayouts = []struct {
+	name            string
+	build           func(name string, seed byte) *Image
+	adopted         int64
+	cold, miss, hit vclock.Duration
+}{
+	{name: "seeded", build: seededImage, adopted: 10, cold: 163086590, miss: 163247470, hit: 143894415},
+	{name: "straddle", build: straddleImage, adopted: 9, cold: 163086590, miss: 163247980, hit: 143894340},
+}
+
 // domainBytes flattens a domain's whole pseudo-physical space.
 func domainBytes(t *testing.T, r *rig, id hv.DomID, npages int) []byte {
 	t.Helper()
@@ -62,69 +103,208 @@ func domainBytes(t *testing.T, r *rig, id hv.DomID, npages int) []byte {
 
 // TestRestoreDifferential: cold restore, cached-miss restore, cached-hit
 // restore and serialize→deserialize→restore must all materialize
-// byte-identical children from the same image.
+// byte-identical children from the same image, for every layout.
 func TestRestoreDifferential(t *testing.T) {
+	for _, l := range restoreLayouts {
+		restoreDifferential(t, l.name, l.build(l.name, 0x40), l.adopted)
+	}
+}
+
+func restoreDifferential(t *testing.T, layout string, img *Image, adopted int64) {
 	r := newRig(t)
-	img := seededImage("diff", 0x40)
 	store := NewImageStore(r.hv.Memory, 0)
 
 	cold, err := r.xl.Restore(img, "diff-cold", nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", layout, err)
 	}
 	want := domainBytes(t, r, cold.ID, img.npages)
 
 	miss, served, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "diff-miss")
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", layout, err)
 	}
 	if served {
-		t.Fatal("first cached restore reported a hit")
+		t.Fatalf("%s: first cached restore reported a hit", layout)
 	}
 	if got := domainBytes(t, r, miss.ID, img.npages); !bytes.Equal(got, want) {
-		t.Fatal("cached-miss restore differs from cold restore")
+		t.Fatalf("%s: cached-miss restore differs from cold restore", layout)
 	}
 
 	hit, served, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "diff-hit")
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", layout, err)
 	}
 	if !served {
-		t.Fatal("second cached restore missed")
+		t.Fatalf("%s: second cached restore missed", layout)
 	}
 	if got := domainBytes(t, r, hit.ID, img.npages); !bytes.Equal(got, want) {
-		t.Fatal("cached-hit restore differs from cold restore")
+		t.Fatalf("%s: cached-hit restore differs from cold restore", layout)
 	}
 
 	var buf bytes.Buffer
 	if _, err := img.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", layout, err)
 	}
 	img2, err := ReadImage(&buf)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", layout, err)
 	}
 	if img2.CacheKey() != img.CacheKey() {
-		t.Fatal("serialized image changed its cache key")
+		t.Fatalf("%s: serialized image changed its cache key", layout)
 	}
 	ser, err := r.xl.Restore(img2, "diff-ser", nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", layout, err)
 	}
 	if got := domainBytes(t, r, ser.ID, img.npages); !bytes.Equal(got, want) {
-		t.Fatal("serialized restore differs from cold restore")
+		t.Fatalf("%s: serialized restore differs from cold restore", layout)
 	}
 
 	st := store.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Inserts != 1 {
-		t.Fatalf("stats = %+v", st)
+		t.Fatalf("%s: stats = %+v", layout, st)
 	}
-	if st.AdoptedFrames == 0 {
-		t.Fatal("cached restore adopted no frames")
+	// Every regular page is adopted; the special top-of-memory pages are
+	// copied, never adopted.
+	if st.AdoptedFrames != adopted {
+		t.Fatalf("%s: adopted %d frames, want %d", layout, st.AdoptedFrames, adopted)
 	}
-	// The special top-of-memory pages are copied, never adopted.
-	if st.AdoptedFrames > int64(img.npages-3) {
-		t.Fatalf("adopted %d frames of %d adoptable", st.AdoptedFrames, img.npages-3)
+}
+
+// TestRestoreVirtualTimePinned pins what folding the restore paths into
+// Space.Populate must not change: the virtual time of a cold restore, a
+// cached miss and a cached hit, the frames the hit adopts, and a pool
+// that returns to its starting level once the children are destroyed and
+// the store flushed.
+func TestRestoreVirtualTimePinned(t *testing.T) {
+	for _, l := range restoreLayouts {
+		r := newRig(t)
+		free0 := r.hv.Memory.FreeFrames()
+		store := NewImageStore(r.hv.Memory, 0)
+		img := l.build(l.name, 0x40)
+
+		var ids []hv.DomID
+		timed := func(what string, want vclock.Duration, restore func(meter *vclock.Meter) (*Record, error)) {
+			t.Helper()
+			meter := vclock.NewMeter(nil)
+			rec, err := restore(meter)
+			if err != nil {
+				t.Fatalf("%s %s: %v", l.name, what, err)
+			}
+			ids = append(ids, rec.ID)
+			if got := meter.Elapsed(); got != want {
+				t.Errorf("%s %s: virtual time %d ns, want %d", l.name, what, int64(got), int64(want))
+			}
+		}
+		timed("cold", l.cold, func(meter *vclock.Meter) (*Record, error) {
+			return r.xl.Restore(img, "cold", meter)
+		})
+		for _, what := range []string{"miss", "hit"} {
+			want := l.miss
+			if what == "hit" {
+				want = l.hit
+			}
+			timed(what, want, func(meter *vclock.Meter) (*Record, error) {
+				rec, _, err := r.xl.RestoreCachedOp(obs.Ctx(meter), store, img, what)
+				return rec, err
+			})
+		}
+		if got := store.Stats().AdoptedFrames; got != l.adopted {
+			t.Errorf("%s: adopted %d frames, want %d", l.name, got, l.adopted)
+		}
+		for _, id := range ids {
+			if err := r.xl.Destroy(id, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		store.Flush()
+		if got := r.hv.Memory.FreeFrames(); got != free0 {
+			t.Fatalf("%s: restores leaked frames: %d != %d", l.name, got, free0)
+		}
+	}
+}
+
+// TestRestoreRefusesPageCountMismatch: an image whose page count differs
+// from its configuration's domain is refused by the cold and the cached
+// restore alike, leaving no domain and no frames behind.
+func TestRestoreRefusesPageCountMismatch(t *testing.T) {
+	r := newRig(t)
+	cfg := baseConfig("short") // 1024 pages
+	img := &Image{Config: cfg, npages: 1000, runs: []imageRun{
+		{start: 0, count: 4, pages: [][]byte{{1}, {2}, {3}, {4}}},
+		{start: 4, count: 996},
+	}}
+	var buf bytes.Buffer
+	if _, err := img.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img, err := ReadImage(&buf)
+	if err != nil {
+		t.Fatalf("decoder refused a short image: %v", err)
+	}
+	count0, free0 := r.xl.Count(), r.hv.Memory.FreeFrames()
+	clean := func(what string) {
+		t.Helper()
+		if r.xl.Count() != count0 {
+			t.Fatalf("%s: refused restore left a domain: %d != %d", what, r.xl.Count(), count0)
+		}
+		if got := r.hv.Memory.FreeFrames(); got != free0 {
+			t.Fatalf("%s: refused restore leaked frames: %d != %d", what, got, free0)
+		}
+	}
+	if _, err := r.xl.Restore(img, "short-cold", nil); err == nil {
+		t.Fatal("cold restore accepted a 1000-page image into a 1024-page domain")
+	}
+	clean("cold")
+	store := NewImageStore(r.hv.Memory, 0)
+	if _, served, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "short-miss"); err == nil || served {
+		t.Fatalf("cached miss: served=%v err=%v", served, err)
+	}
+	clean("miss")
+	if err := store.Insert(img, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, served, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "short-hit"); err == nil || !served {
+		t.Fatalf("cached hit: served=%v err=%v", served, err)
+	}
+	store.Flush()
+	clean("hit")
+}
+
+// TestRestoreCachedSpans: a miss records the hash, the copying restore
+// and the cache insert; a hit records the hash and the cached restore
+// with its one populate beneath it.
+func TestRestoreCachedSpans(t *testing.T) {
+	r := newRig(t)
+	store := NewImageStore(r.hv.Memory, 0)
+	img := seededImage("spans", 0x40)
+	type span struct {
+		name   string
+		parent int32
+	}
+	for _, tc := range []struct {
+		name string
+		want []span
+	}{
+		{"miss", []span{{"image-hash", 0}, {"restore-cold", 0}, {"populate", 2}, {"cache-insert", 0}}},
+		{"hit", []span{{"image-hash", 0}, {"restore-cached", 0}, {"populate", 2}}},
+	} {
+		tr := obs.NewTrace()
+		ctx := obs.Ctx(vclock.NewMeter(nil)).WithTrace(tr)
+		if _, _, err := r.xl.RestoreCachedOp(ctx, store, img, tc.name); err != nil {
+			t.Fatal(err)
+		}
+		spans := tr.Spans()
+		if len(spans) != len(tc.want) {
+			t.Fatalf("%s: recorded %d spans, want %d:\n%s", tc.name, len(spans), len(tc.want), tr.Render())
+		}
+		for i, w := range tc.want {
+			if spans[i].Name != w.name || spans[i].Parent != w.parent {
+				t.Fatalf("%s: span %d = %s (parent %d), want %s (parent %d):\n%s",
+					tc.name, i, spans[i].Name, spans[i].Parent, w.name, w.parent, tr.Render())
+			}
+		}
 	}
 }
 
@@ -484,5 +664,39 @@ func TestImagePageAtBinarySearch(t *testing.T) {
 	}
 	if img.runIndexOf(2000) != -1 {
 		t.Fatal("runIndexOf past the end")
+	}
+}
+
+// TestImageExtentsMatchPageAt: the populate walk resolves every pfn to the
+// bytes the pageAt oracle reads, in ascending pfn order, and hands the
+// cached chunk frames along in parallel.
+func TestImageExtentsMatchPageAt(t *testing.T) {
+	r := newRig(t)
+	store := NewImageStore(r.hv.Memory, 0)
+	for _, l := range restoreLayouts {
+		img := l.build(l.name, 0x40)
+		if err := store.Insert(img, nil); err != nil {
+			t.Fatal(err)
+		}
+		ci := store.touch(img.CacheKey())
+		got := make([][]byte, img.npages)
+		next := mem.PFN(0)
+		for _, e := range img.appendExtents(nil, ci) {
+			if e.Start < next {
+				t.Fatalf("%s: extent at %d after pfn %d", l.name, e.Start, next)
+			}
+			if len(e.Frames) != len(e.Data) {
+				t.Fatalf("%s: extent at %d has %d frames for %d pages", l.name, e.Start, len(e.Frames), len(e.Data))
+			}
+			for j, data := range e.Data {
+				got[int(e.Start)+j] = data
+			}
+			next = e.Start + mem.PFN(len(e.Data))
+		}
+		for pfn := range got {
+			if want := img.pageAt(mem.PFN(pfn)); !bytes.Equal(got[pfn], want) {
+				t.Fatalf("%s: pfn %d: walk and pageAt disagree", l.name, pfn)
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"nephele/internal/hv"
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -92,36 +93,47 @@ func (img *Image) pageAt(pfn mem.PFN) []byte {
 	return r.pages[pfn-r.start]
 }
 
-// forEachAliasPage invokes fn for every stored (non-zero) page of the
-// alias run r, resolving each source run it covers once instead of once
-// per page. off is the page's offset within r; aliases always point into
-// fresh runs, so a nested alias contributes zeroes.
-func (img *Image) forEachAliasPage(r *imageRun, fn func(off int, data []byte) error) error {
-	for off := 0; off < r.count; {
-		src := r.alias + mem.PFN(off)
-		i := img.runIndexOf(src)
-		if i < 0 {
-			off++
+// appendExtents appends the image runs to out as populate extents in pfn
+// order: a data run passes through as it is, an alias run becomes the
+// slices of the data runs it repeats (resolving each covered source run
+// once), and zero runs and zero stretches are skipped — a fresh domain's
+// pages already read as zeroes. With ci non-nil, each extent carries the
+// cached chunk frames backing its bytes. Aliases always point into fresh
+// runs, so a nested alias contributes zeroes.
+func (img *Image) appendExtents(out []mem.Extent, ci *cachedImage) []mem.Extent {
+	for i := range img.runs {
+		r := &img.runs[i]
+		if !r.isAlias {
+			if r.pages != nil {
+				out = append(out, img.extent(ci, r.start, i, 0, r.count))
+			}
 			continue
 		}
-		sr := &img.runs[i]
-		n := int(sr.start) + sr.count - int(src)
-		if rest := r.count - off; n > rest {
-			n = rest
-		}
-		if !sr.isAlias && sr.pages != nil {
-			base := int(src - sr.start)
-			for j := 0; j < n; j++ {
-				if data := sr.pages[base+j]; data != nil {
-					if err := fn(off+j, data); err != nil {
-						return err
-					}
-				}
+		for off := 0; off < r.count; {
+			src := r.alias + mem.PFN(off)
+			j := img.runIndexOf(src)
+			if j < 0 {
+				off++
+				continue
 			}
+			sr := &img.runs[j]
+			n := min(int(sr.start)+sr.count-int(src), r.count-off)
+			if !sr.isAlias && sr.pages != nil {
+				out = append(out, img.extent(ci, r.start+mem.PFN(off), j, int(src-sr.start), n))
+			}
+			off += n
 		}
-		off += n
 	}
-	return nil
+	return out
+}
+
+// extent places pages base..base+n-1 of data run i at pfn start.
+func (img *Image) extent(ci *cachedImage, start mem.PFN, i, base, n int) mem.Extent {
+	e := mem.Extent{Start: start, Data: img.runs[i].pages[base : base+n]}
+	if ci != nil {
+		e.Frames = ci.runs[i].chunk.mfns[base : base+n]
+	}
+	return e
 }
 
 // Save serializes a running domain to an image (the domain keeps running;
@@ -168,52 +180,65 @@ func (x *XL) Save(id hv.DomID, meter *vclock.Meter) (*Image, error) {
 // toolstack path mirrors Create, then the whole image memory is copied
 // into the new domain.
 func (x *XL) Restore(img *Image, name string, meter *vclock.Meter) (*Record, error) {
+	rec, _, err := x.restore(obs.Ctx(meter), img, name, nil, nil)
+	return rec, err
+}
+
+// restore is the one restore path: Create, then Space.Populate from the
+// image extents. Without ci every stored page is copied and the entire
+// allocated memory is charged, used or not (§6.1); with ci, the hit of
+// store, the regular pages COW-share its chunk frames instead. An image
+// whose page count differs from its domain's is refused, and a failure
+// after Create destroys the new domain. It returns the number of shared
+// pages.
+func (x *XL) restore(ctx obs.OpCtx, img *Image, name string, store *ImageStore, ci *cachedImage) (*Record, int, error) {
+	meter := ctx.Meter()
 	cfg := img.Config
 	cfg.Name = name
 	rec, err := x.Create(cfg, meter)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	dom, err := x.HV.Domain(rec.ID)
+	shared, err := x.populate(ctx, rec.ID, img, store, ci)
 	if err != nil {
-		return nil, err
-	}
-	space := dom.Space()
-	if space.Pages() < img.npages {
 		x.Destroy(rec.ID, nil)
-		return nil, fmt.Errorf("toolstack: image has %d pages, domain %d", img.npages, space.Pages())
+		return nil, 0, err
 	}
-	// Walk the image run by run: zero runs are skipped (a fresh domain's
-	// pages already read as zeroes), data runs stream their stored pages,
-	// and alias runs resolve each covered source run once instead of a
-	// full run-table lookup per page.
-	for ri := range img.runs {
-		r := &img.runs[ri]
-		if r.isAlias {
-			err := img.forEachAliasPage(r, func(off int, data []byte) error {
-				return space.Write(r.start+mem.PFN(off), 0, data, nil)
-			})
-			if err != nil {
-				x.Destroy(rec.ID, nil)
-				return nil, fmt.Errorf("toolstack: restore alias run at %d: %w", r.start, err)
-			}
-			continue
-		}
-		for j, data := range r.pages {
-			if data == nil {
-				continue
-			}
-			if err := space.Write(r.start+mem.PFN(j), 0, data, nil); err != nil {
-				x.Destroy(rec.ID, nil)
-				return nil, fmt.Errorf("toolstack: restore pfn %d: %w", r.start+mem.PFN(j), err)
-			}
-		}
-	}
-	// The entire allocated memory is charged, used or not (§6.1).
-	if meter != nil {
+	if ci == nil && meter != nil {
 		meter.Charge(meter.Costs().ImagePageRestore, img.npages)
 	}
-	return rec, nil
+	return rec, shared, nil
+}
+
+// populate fills the freshly created domain id from img; see restore.
+func (x *XL) populate(ctx obs.OpCtx, id hv.DomID, img *Image, store *ImageStore, ci *cachedImage) (int, error) {
+	var src mem.DomID
+	if ci != nil {
+		if err := store.faultCheckRestore(); err != nil {
+			return 0, err
+		}
+		src = store.dom
+	}
+	dom, err := x.HV.Domain(id)
+	if err != nil {
+		return 0, err
+	}
+	space := dom.Space()
+	if space.Pages() != img.npages {
+		return 0, fmt.Errorf("toolstack: image has %d pages, domain %d", img.npages, space.Pages())
+	}
+	// Populate keeps no reference to the extents, so those of a typical
+	// image live on the stack.
+	var buf [32]mem.Extent
+	ext := buf[:0]
+	if len(img.runs) > len(buf) {
+		ext = make([]mem.Extent, 0, len(img.runs))
+	}
+	shared, err := space.Populate(ctx, src, img.appendExtents(ext, ci))
+	if err != nil {
+		return 0, fmt.Errorf("toolstack: restore domain %d: %w", id, err)
+	}
+	return shared, nil
 }
 
 // allZero reports whether b holds only zero bytes, testing a
