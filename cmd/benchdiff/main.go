@@ -41,8 +41,11 @@ type baseline struct {
 	PreShard map[string]float64 `json:"pre_shard_ns_per_op,omitempty"`
 	// PreHash preserves RemoteClone's numbers from before the word-at-a-
 	// time image hash and slab-backed snapshots; -update never touches it.
-	PreHash    map[string]float64 `json:"pre_hash_ns_per_op,omitempty"`
-	Benchmarks map[string]record  `json:"benchmarks"`
+	PreHash map[string]float64 `json:"pre_hash_ns_per_op,omitempty"`
+	// PreZeroCopy preserves RemoteClone's numbers from before snapshots
+	// and cache inserts shared frame buffers; -update never touches it.
+	PreZeroCopy map[string]float64 `json:"pre_zerocopy_ns_per_op,omitempty"`
+	Benchmarks  map[string]record  `json:"benchmarks"`
 }
 
 // benchLine matches one result line of `go test -bench` output, e.g.

@@ -65,6 +65,11 @@ type Options struct {
 // logged write requests; it produces the two Fig. 4 spikes per ~60k writes.
 const storeLogRotateDefault = 60000
 
+// zeroVbdBase is the default vbd base image, shared read-only by every
+// platform: a backend only hashes its chunks and copies the ones it
+// interns, so no platform pays a fresh 1 MiB allocation for it.
+var zeroVbdBase [1 << 20]byte
+
 // Platform is one simulated physical machine running the Nephele stack.
 type Platform struct {
 	HV       *hv.Hypervisor
@@ -107,7 +112,7 @@ func NewPlatform(opts Options) *Platform {
 	hostFS := devices.NewHostFS()
 	baseImage := opts.VbdBaseImage
 	if baseImage == nil {
-		baseImage = make([]byte, 1<<20)
+		baseImage = zeroVbdBase[:]
 	}
 	be := toolstack.Backends{
 		Net:     devices.NewNetBackend(udev),

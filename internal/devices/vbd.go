@@ -8,6 +8,7 @@ import (
 
 	"nephele/internal/fault"
 	"nephele/internal/vclock"
+	"nephele/internal/xxh64"
 )
 
 // The vbd block device demonstrates §5.3's "supporting new device types"
@@ -59,14 +60,13 @@ func NewBaseStore() *BaseStore {
 	return &BaseStore{chunks: make(map[uint64][]byte)}
 }
 
-// intern stores one fixed-size chunk (copying it) and returns its content
-// hash; an identical chunk already present is reused. Hash collisions are
-// resolved by deterministic linear probing on the verified bytes.
+// intern stores one fixed-size chunk and returns its content hash; an
+// identical chunk already present is reused. The chunk is hashed in place
+// and copied only when it is new, so the caller's buffer is never kept.
+// Hash collisions are resolved by deterministic linear probing on the
+// verified bytes.
 func (st *BaseStore) intern(chunk []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range chunk {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
+	h := xxh64.Sum(chunk, 0)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for {
@@ -280,20 +280,20 @@ func NewVbdBackend(base []byte) *VbdBackend {
 
 // NewVbdBackendShared creates a backend whose base chunks are interned
 // into a shared store: backends over identical images share every chunk,
-// backends over related images share the identical stretches.
+// backends over related images share the identical stretches. The image
+// is padded to whole sectors; base itself is only read, never kept.
 func NewVbdBackendShared(base []byte, store *BaseStore) *VbdBackend {
-	if rem := len(base) % SectorSize; rem != 0 {
-		base = append(base, make([]byte, SectorSize-rem)...)
-	}
-	b := &VbdBackend{store: store, size: len(base), vbds: make(map[string]*Vbd)}
+	size := (len(base) + SectorSize - 1) / SectorSize * SectorSize
+	b := &VbdBackend{store: store, size: size, vbds: make(map[string]*Vbd)}
 	const chunkBytes = BaseChunkSectors * SectorSize
 	for off := 0; off < len(base); off += chunkBytes {
-		end := off + chunkBytes
-		chunk := make([]byte, chunkBytes) // final partial chunk zero-padded
-		if end > len(base) {
-			end = len(base)
+		chunk := base[off:min(off+chunkBytes, len(base))]
+		if len(chunk) < chunkBytes {
+			// The final partial chunk is zero-padded.
+			padded := make([]byte, chunkBytes)
+			copy(padded, chunk)
+			chunk = padded
 		}
-		copy(chunk, base[off:end])
 		b.base = append(b.base, store.intern(chunk))
 	}
 	return b

@@ -223,3 +223,36 @@ func TestVbdBaseStorePartialChunk(t *testing.T) {
 		t.Fatalf("tail sector = %q", got[:2])
 	}
 }
+
+// TestVbdBackendLeavesBaseUntouched: a backend only reads its base image —
+// it neither pads it in place nor keeps it — so one read-only base can
+// serve every platform.
+func TestVbdBackendLeavesBaseUntouched(t *testing.T) {
+	spare := make([]byte, 2*SectorSize)
+	for i := range spare {
+		spare[i] = 0xee
+	}
+	base := spare[:SectorSize+3] // unaligned, with spare capacity behind it
+	b := NewVbdBackendShared(base, NewBaseStore())
+	for i, c := range spare {
+		if c != 0xee {
+			t.Fatalf("byte %d of the caller's buffer became %#x", i, c)
+		}
+	}
+	base[0] = 0x11
+	v := b.Create(1, 0, nil)
+	got, err := v.ReadSector(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 0xee {
+		t.Fatalf("sector 0 reads %#x after the caller changed its buffer, want 0xee", got[0])
+	}
+	tail, err := v.ReadSector(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail[2] != 0xee || tail[3] != 0 {
+		t.Fatalf("padded tail sector reads % x, want ee then zero padding", tail[:4])
+	}
+}

@@ -82,12 +82,35 @@ var (
 // copies away, and teardown keeps a pledged frame alive as a dom_cow
 // "zombie" (refcount 0, pledges > 0) until the last pledge is adopted or
 // cancelled.
+//
+// frozen means data may also be referenced by an immutable snapshot page
+// (SnapshotFrames) or cache page (Install), so any in-place store must
+// first clone it (frame.store, which clears the bit). Allocation and
+// release clear it along with the buffer.
 type frame struct {
 	owner    DomID
 	refcount int32
 	pledges  int32
 	inUse    bool
+	frozen   bool
 	data     []byte
+}
+
+// store returns f's buffer ready for an in-place store: allocated when the
+// frame has never been written, cloned when a snapshot or cache page may
+// share it — one page copy, paid only by frames written after a capture.
+// The frame's shard must be locked.
+func (f *frame) store() []byte {
+	switch {
+	case f.data == nil:
+		f.data = make([]byte, PageSize)
+	case f.frozen:
+		d := make([]byte, PageSize)
+		copy(d, f.data)
+		f.data = d
+		f.frozen = false
+	}
+	return f.data
 }
 
 // Shard sizing. The pool is split into contiguous MFN-range shards (a
@@ -597,6 +620,7 @@ func (sh *shard) initFrameLocked(mfn MFN, dom DomID) {
 	f.owner = dom
 	f.refcount = 1
 	f.inUse = true
+	f.frozen = false
 	f.data = nil
 }
 
@@ -657,6 +681,7 @@ func (sh *shard) dropUsageLocked(dom DomID, n int) {
 func (sh *shard) resetFrameLocked(mfn MFN) {
 	f := &sh.frames[mfn-sh.lo]
 	f.inUse = false
+	f.frozen = false
 	f.data = nil
 	f.refcount = 0
 	f.pledges = 0
@@ -1350,10 +1375,36 @@ func (m *Memory) Write(mfn MFN, off int, buf []byte) error {
 	if off < 0 || off+len(buf) > PageSize {
 		return ErrBadOffset
 	}
-	if f.data == nil {
-		f.data = make([]byte, PageSize)
+	copy(f.store()[off:], buf)
+	return nil
+}
+
+// Install makes page the contents of frame mfn, for a frame whose page
+// the caller is handing over for good (the image cache's insert). A full
+// page is aliased, not copied: the frame is frozen, so the next Write
+// clones it and page never changes through the frame. A shorter page is
+// copied, the rest of the frame reading as zeroes. The caller must not
+// modify page afterwards. Like Write, Install checks neither ownership nor
+// sharing.
+func (m *Memory) Install(mfn MFN, page []byte) error {
+	if len(page) > PageSize {
+		return ErrBadOffset
 	}
-	copy(f.data[off:], buf)
+	lay, sh, err := m.lockShard(mfn)
+	if err != nil {
+		return err
+	}
+	defer sh.mu.Unlock()
+	f, err := lay.frameAt(mfn)
+	if err != nil {
+		return err
+	}
+	if len(page) == PageSize {
+		f.data, f.frozen = page[:PageSize:PageSize], true
+		return nil
+	}
+	f.data, f.frozen = make([]byte, PageSize), false
+	copy(f.data, page)
 	return nil
 }
 
@@ -1409,11 +1460,9 @@ func (lay *layout) copyFrameLocked(dst, src MFN) error {
 	}
 	if fs.data == nil {
 		fd.data = nil
+		fd.frozen = false
 	} else {
-		if fd.data == nil {
-			fd.data = make([]byte, PageSize)
-		}
-		copy(fd.data, fs.data)
+		copy(fd.store(), fs.data)
 	}
 	return nil
 }
@@ -1425,11 +1474,11 @@ func (lay *layout) copyFrameLocked(dst, src MFN) error {
 // shards keep allocating — and a concurrent ReleaseN on the same shards
 // orders strictly before or after the whole snapshot.
 //
-// The present frames are copied into one slab per capture, counted in a
-// first pass under the same locks, rather than one allocation per page.
-// Each returned page is capped at PageSize, so an append to one page
-// reallocates instead of writing into its neighbour, and no frame ever
-// adopts a snapshot page: Write copies into frame-owned storage.
+// The capture copies nothing: each returned page is the frame's own
+// buffer, capped at PageSize, and the frame is frozen, so the next store
+// into it (Write, a CopyFrameN onto it) clones the buffer first. The pages
+// are read-only views that stay as they were captured for as long as they
+// are referenced; a caller must never write into one.
 func (m *Memory) SnapshotFrames(mfns []MFN) ([][]byte, error) {
 	for {
 		lay := m.lay.Load()
@@ -1440,25 +1489,15 @@ func (m *Memory) SnapshotFrames(mfns []MFN) ([][]byte, error) {
 		out := make([][]byte, len(mfns))
 		err := func() error {
 			defer m.unlockMask(lay, mask)
-			present := 0
-			for _, mfn := range mfns {
+			for i, mfn := range mfns {
 				f, err := lay.frameAt(mfn)
 				if err != nil {
 					return err
 				}
 				if f.data != nil {
-					present++
+					f.frozen = true
+					out[i] = f.data[:PageSize:PageSize]
 				}
-			}
-			slab := make([]byte, present*PageSize)
-			for i, mfn := range mfns {
-				f, _ := lay.frameAt(mfn) // every mfn resolved in the counting pass
-				if f.data == nil {
-					continue
-				}
-				out[i] = slab[:PageSize:PageSize]
-				copy(out[i], f.data)
-				slab = slab[PageSize:]
 			}
 			return nil
 		}()

@@ -863,7 +863,8 @@ func (s *Space) release() error {
 // zeroes). The whole capture locks each touched pool shard once (in the
 // pool-wide ascending order) instead of a page-sized Read per pfn, which is
 // what makes save/restore cycles cheap for mostly-untouched unikernel
-// memory.
+// memory. The pages are read-only views of the frames' own buffers
+// (Memory.SnapshotFrames): they never change, and must never be written.
 func (s *Space) Snapshot() ([][]byte, error) {
 	mfns, err := s.snapshotMFNs()
 	if err != nil {
@@ -899,6 +900,8 @@ func (s *Space) snapshotMFNs() ([]MFN, error) {
 type SnapshotRun struct {
 	Start PFN
 	Count int
+	// Pages are read-only views of the captured frames' buffers; see
+	// Memory.SnapshotFrames.
 	Pages [][]byte
 	Alias PFN // valid iff IsAlias
 	// IsAlias reports that this run repeats the frames of the run starting

@@ -212,11 +212,12 @@ func (st *ImageStore) noteInsertFailure() {
 }
 
 // Insert makes the image resident: every data run not already cached is
-// copied into freshly allocated cache frames and transferred to dom_cow
-// under the cache's reference. The copy-in is charged to the meter (one
-// PageCopy per stored page plus the allocation and one PageShare per
-// frame). Inserting an already-resident image only refreshes its LRU
-// position. On any failure — allocation, or the toolstack/cache-insert
+// installed into freshly allocated cache frames and transferred to dom_cow
+// under the cache's reference. Install aliases a full page instead of
+// copying it (image pages never change), but the modeled copy-in is
+// charged all the same (one PageCopy per stored page plus the allocation
+// and one PageShare per frame). Inserting an already-resident image only
+// refreshes its LRU position. On any failure — allocation, or the toolstack/cache-insert
 // fault point, which fires after the new chunks are built but before they
 // are committed — everything allocated by this call is released and the
 // store is exactly as before.
@@ -259,7 +260,7 @@ func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
 					if data == nil {
 						continue // the frame already reads as zeroes
 					}
-					if err := st.mem.Write(mfns[j], 0, data); err != nil {
+					if err := st.mem.Install(mfns[j], data); err != nil {
 						st.mem.ReleaseN(st.dom, mfns)
 						rollback()
 						return fmt.Errorf("toolstack: image cache insert: %w", err)

@@ -37,7 +37,9 @@ type Image struct {
 // imageRun is one extent of the image: count consecutive pfns from start.
 // A zero run has nil pages; a data run carries one slot per pfn (all-zero
 // written pages are scrubbed to nil slots); an alias run repeats the
-// contents of the run covering pfn alias.
+// contents of the run covering pfn alias. Pages are never written: a saved
+// image's pages are the guest frames' buffers, and the image cache's
+// frames alias them in turn (DESIGN.md §15.6).
 type imageRun struct {
 	start   mem.PFN
 	count   int
@@ -153,8 +155,9 @@ func (x *XL) Save(id hv.DomID, meter *vclock.Meter) (*Image, error) {
 	// SnapshotRuns captures the whole space in one coherent pass as
 	// extents: never-written ranges collapse into zero runs with no
 	// per-page storage, repeated family-shared frames into alias runs,
-	// so only pages the guest actually touched need the zero scan and a
-	// copy into the image.
+	// so only pages the guest actually touched need the zero scan. The
+	// image's pages are the frames' own buffers, frozen until the guest
+	// next writes them, so nothing is copied.
 	runs, err := space.SnapshotRuns()
 	if err != nil {
 		return nil, fmt.Errorf("toolstack: save domain %d: %w", id, err)

@@ -21,7 +21,7 @@ type rig struct {
 	bond  *netsim.Bond
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	hyp := hv.New(hv.Config{
 		MemoryBytes:             512 << 20,
